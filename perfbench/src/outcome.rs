@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use glitch_serve::json::JsonObject;
 
-use crate::stats::{median, percentile, share};
+use crate::stats::{median, percentile, share, windowed};
 use crate::trace::LayerTable;
 
 /// End-to-end metrics, printed by every untraced run.
@@ -68,6 +68,10 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("trace.replay_match", "ratio"),
 ];
 
+/// Fewest ops per window of the latency percentiles: ten samples lie
+/// beyond p99 in every window.
+pub const OPS_PER_WINDOW: usize = 1000;
+
 /// The result of one run.
 #[derive(Debug, Default)]
 pub struct Outcome {
@@ -94,16 +98,21 @@ impl Outcome {
     }
 
     /// Sets the timing metrics from set-up repeats and per-op latencies
-    /// (seconds), and the seed-cycles one op covers. Prints the op count
-    /// and the hardware threads the figures were measured with.
+    /// (seconds, in the order the ops ran), and the seed-cycles one op
+    /// covers. The op latency percentiles are medians over windows of
+    /// [`OPS_PER_WINDOW`] ops, so a slowdown of the shared host during
+    /// part of the run does not set them; with fewer ops they are the
+    /// plain percentiles. Prints the op count and the hardware threads
+    /// the figures were measured with.
     pub fn set_timings(&mut self, setup: &[f64], ops: &[f64], cycles_per_op: f64) {
         let threads = std::thread::available_parallelism().map_or(1, usize::from);
         println!("{{\"ops\":{},\"threads\":{threads}}}", ops.len());
-        let op = median(ops);
+        let op = windowed(ops, OPS_PER_WINDOW, median);
+        let p99 = windowed(ops, OPS_PER_WINDOW, |w| percentile(w, 0.99));
         self.set("setup_s", median(setup));
         self.set("cycles_per_s", share(cycles_per_op, op));
         self.set("p50_ms", op * 1e3);
-        self.set("p99_ms", percentile(ops, 0.99) * 1e3);
+        self.set("p99_ms", p99 * 1e3);
         self.set("wall_s", op);
     }
 

@@ -26,6 +26,20 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The median, over consecutive windows of at least `window` samples
+/// (in the order given), of `statistic` of each window. The samples are
+/// split into `len / window` windows of near-equal size; with fewer than
+/// `2 * window` samples this is `statistic` of them all. A slowdown of
+/// the host that covers less than half of the windows does not set it.
+pub fn windowed(samples: &[f64], window: usize, statistic: impl Fn(&[f64]) -> f64) -> f64 {
+    let windows = (samples.len() / window.max(1)).max(1);
+    let bounds = |j: usize| j * samples.len() / windows;
+    let per_window: Vec<f64> = (0..windows)
+        .map(|j| statistic(&samples[bounds(j)..bounds(j + 1)]))
+        .collect();
+    median(&per_window)
+}
+
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -67,6 +81,21 @@ mod tests {
         assert_eq!(percentile(&samples, 0.99), 990.0);
         assert_eq!(percentile(&samples, 0.5), 500.0);
         assert_eq!(percentile(&[5.0, 1.0], 0.99), 5.0);
+    }
+
+    #[test]
+    fn windowed_is_the_median_of_window_statistics() {
+        let p99 = |w: &[f64]| percentile(w, 0.99);
+        let samples: Vec<f64> = (1..=1000).map(f64::from).collect();
+        assert_eq!(windowed(&samples, 1000, p99), 990.0);
+        assert_eq!(windowed(&samples, 600, median), 500.5);
+        // Three windows of 100; one slow window does not move the result.
+        let mut samples: Vec<f64> = (0..300).map(|i| f64::from(i % 100 + 1)).collect();
+        samples[100..200].iter_mut().for_each(|s| *s *= 10.0);
+        assert_eq!(windowed(&samples, 100, p99), 99.0);
+        assert_eq!(windowed(&samples, 100, median), 50.5);
+        assert_eq!(percentile(&samples, 0.99), 970.0);
+        assert_eq!(windowed(&[], 100, p99), 0.0);
     }
 
     #[test]
