@@ -15,5 +15,9 @@
 //! | §4.2 (direction detector) | [`experiments::direction_detector_activity`] | `exp_direction_detector` |
 //! | Table 3 / Figure 10 | [`experiments::table3_power_sweep`] | `exp_table3_power_retiming` |
 //! | Figure 9 (retiming removes glitches) | [`experiments::figure9`] | `exp_fig9_retiming_glitches` |
+//!
+//! [`timing`] holds the wall-clock medians behind the ignored ratio gates
+//! in `tests/`.
 
 pub mod experiments;
+pub mod timing;

@@ -11,8 +11,7 @@
 //! cargo test --release -p glitch-bench --test kernel_gate -- --ignored
 //! ```
 
-use std::time::{Duration, Instant};
-
+use glitch_bench::timing::median_time;
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::sim::{kernel_prepass, RandomStimulus, SimJob, SimSession, StatsProbe};
 use glitch_core::KernelProgram;
@@ -21,19 +20,6 @@ const CYCLES: u64 = 200;
 const SEEDS: u64 = 64;
 const SEED0: u64 = 0xA5A5;
 const MIN_SPEEDUP: f64 = 10.0;
-
-/// Median wall time of `runs` executions of `f`.
-fn median_time(runs: usize, mut f: impl FnMut() -> u64) -> Duration {
-    let mut times: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
 
 #[test]
 #[ignore = "timing gate; run explicitly in CI with --release"]

@@ -9,8 +9,9 @@
 //! cargo test --release -p glitch-bench --test metrics_gate -- --ignored
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use glitch_bench::timing::paired_median_times;
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::netlist::{Bus, Netlist};
 use glitch_core::sim::{MetricsProbe, RandomStimulus, SimSession};
@@ -30,23 +31,13 @@ fn run(netlist: &Netlist, buses: &[Bus], probed: bool) -> u64 {
     session.run().expect("settles").total_transitions()
 }
 
-/// Median wall times of `RUNS` interleaved bare/probed executions —
-/// interleaving decorrelates clock-frequency drift from the comparison.
+/// Median wall times of `RUNS` interleaved bare/probed executions.
 fn measure(netlist: &Netlist, buses: &[Bus]) -> (Duration, Duration) {
-    let time = |probed: bool| {
-        let start = Instant::now();
-        std::hint::black_box(run(netlist, buses, probed));
-        start.elapsed()
-    };
-    let mut bare_times = Vec::with_capacity(RUNS);
-    let mut probed_times = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        bare_times.push(time(false));
-        probed_times.push(time(true));
-    }
-    bare_times.sort_unstable();
-    probed_times.sort_unstable();
-    (bare_times[RUNS / 2], probed_times[RUNS / 2])
+    paired_median_times(
+        RUNS,
+        || run(netlist, buses, false),
+        || run(netlist, buses, true),
+    )
 }
 
 #[test]

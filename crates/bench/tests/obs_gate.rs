@@ -11,8 +11,9 @@
 //! ```
 
 use std::net::TcpListener;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use glitch_bench::timing::paired_median_times;
 use glitch_serve::{run_server, Client, ServeConfig};
 
 const RUNS: usize = 9;
@@ -48,8 +49,7 @@ fn spawn_daemon(access_log: Option<String>) -> u16 {
     panic!("daemon did not come up on port {port}");
 }
 
-fn time_warm_flips(client: &mut Client, request: &str) -> Duration {
-    let start = Instant::now();
+fn warm_flips(client: &mut Client, request: &str) {
     for _ in 0..REQUESTS_PER_RUN {
         let response = client.request(request).expect("request");
         assert!(
@@ -57,21 +57,15 @@ fn time_warm_flips(client: &mut Client, request: &str) -> Duration {
             "request failed: {response}"
         );
     }
-    start.elapsed()
 }
 
-/// Median wall times of `RUNS` interleaved bare/logged batches —
-/// interleaving decorrelates clock-frequency drift from the comparison.
+/// Median wall times of `RUNS` interleaved bare/logged batches.
 fn measure(bare: &mut Client, logged: &mut Client, request: &str) -> (Duration, Duration) {
-    let mut bare_times = Vec::with_capacity(RUNS);
-    let mut logged_times = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        bare_times.push(time_warm_flips(bare, request));
-        logged_times.push(time_warm_flips(logged, request));
-    }
-    bare_times.sort_unstable();
-    logged_times.sort_unstable();
-    (bare_times[RUNS / 2], logged_times[RUNS / 2])
+    paired_median_times(
+        RUNS,
+        || warm_flips(bare, request),
+        || warm_flips(logged, request),
+    )
 }
 
 #[test]
@@ -89,8 +83,8 @@ fn access_log_and_windowed_histograms_cost_less_than_five_percent() {
     let mut logged = Client::connect(logged_port).expect("connect");
 
     // Prime both caches so every timed request is a warm baseline hit.
-    time_warm_flips(&mut bare, &request);
-    time_warm_flips(&mut logged, &request);
+    warm_flips(&mut bare, &request);
+    warm_flips(&mut logged, &request);
 
     // Timing gates are noisy; allow one re-measurement before failing.
     let mut verdict = (Duration::ZERO, Duration::ZERO, f64::MAX);

@@ -10,8 +10,7 @@
 //! cargo test --release -p glitch-bench --test speedup_gate -- --ignored
 //! ```
 
-use std::time::{Duration, Instant};
-
+use glitch_bench::timing::median_time;
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::sim::{
     DeltaStimulus, IncrementalSession, InputAssignment, RandomStimulus, SimSession, StatsProbe,
@@ -21,19 +20,6 @@ use glitch_core::sim::{
 const CYCLES: u64 = 400;
 const SEED: u64 = 0xF11;
 const MIN_SPEEDUP: f64 = 2.0;
-
-/// Median wall time of `runs` executions of `f`.
-fn median_time(runs: usize, mut f: impl FnMut() -> u64) -> Duration {
-    let mut times: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
 
 #[test]
 #[ignore = "timing gate; run explicitly in CI with --release"]

@@ -8,18 +8,18 @@ use std::path::Path;
 use glitch_core::netlist::{DotOptions, Netlist};
 use glitch_core::retime::{pipeline_netlist, PipelineOptions};
 use glitch_core::sim::{
-    kernel_prepass, run_kernel_jobs, MergeableProbe, MetricsProbe, Probe, RandomStimulus,
-    SessionReport, SimJob, SimSession, UnitDelay, VcdProbe, WaveCsvProbe, WindowedActivityProbe,
+    MergeableProbe, Probe, RandomStimulus, SessionReport, SimBaseline, SimOptions, SimSession,
+    UnitDelay, VcdProbe, WaveCsvProbe, WindowedActivityProbe,
 };
-use glitch_core::sim::{SimBaseline, SimOptions};
 use glitch_core::verify::{CheckSuite, Verdict, VerifyReport};
 use glitch_core::{
-    Analysis, AnalysisConfig, DeltaStimulus, EngineKind, GlitchAnalyzer, IncrementalStats,
-    KernelProgram, KernelTelemetry, PowerExplorer, TextTable,
+    AggregateAnalysis, Analysis, AnalysisConfig, EngineKind, GlitchAnalyzer, IncrementalStats,
+    KernelProgram, PowerExplorer, TextTable,
 };
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
+use glitch_serve::exec::{self, ExtraProbes, Plan, WorkRecorder};
 use glitch_serve::json::{json_array, JsonObject};
-use glitch_serve::params::{self, input_buses, stimulus_seeds, ParamError};
+use glitch_serve::params::{self, input_buses, AppliedFlip, FlipSpec, ParamError};
 use glitch_serve::report;
 
 use crate::args::{Args, Spec};
@@ -160,9 +160,10 @@ commands:
               --seeds/--jobs       score with n independent seeds fanned
                                    across worker threads; reports are
                                    bit-identical at any --jobs count
-              --engine <name>      queue | hybrid [queue]: hybrid screens
-                                   batch-wide through the compiled kernel
-                                   (reports bit-identical to queue);
+              --engine <name>      queue | hybrid [queue]: the engine that
+                                   scores moves (reports bit-identical);
+                                   candidates are always screened
+                                   batch-wide through the compiled kernel.
                                    kernel alone cannot score glitches
               --emit-blif <file>   write the reduced circuit as BLIF
               --progress           print one JSON progress line per
@@ -173,8 +174,10 @@ commands:
   serve     run the batch-analysis daemon: a JSON-lines protocol on a
             loopback TCP socket, with parsed netlists, cone indexes and
             recorded baselines kept warm in a content-addressed cache.
-            Responses are byte-identical to the matching one-shot --json
-            output. Takes no netlist argument
+            Jobs run the same code as the one-shot commands, so responses
+            are byte-identical to the matching --json output (a job
+            without `engine` runs queue, as here). Takes no netlist
+            argument
               --port <p>           listen port on 127.0.0.1 [ephemeral;
                                    printed on the `listening` line]
               --jobs <n>           worker threads [hardware threads]
@@ -342,13 +345,48 @@ fn analysis_config(args: &Args, library: &GateLibrary) -> Result<AnalysisConfig,
     )?)
 }
 
-/// The single-lane [`SimJob`] mirroring [`GlitchAnalyzer::session`]'s
-/// stimulus, for feeding the compiled kernel on single-seed runs.
-fn kernel_job<'a>(netlist: &'a Netlist, config: &AnalysisConfig) -> SimJob<'a> {
-    SimJob::new(netlist, input_buses(netlist), config.cycles, config.seed)
-        .with_delay(config.delay.clone())
-        .with_power(config.technology, config.frequency)
-        .with_options(config.options)
+/// The `--vcd`, `--wave-csv` and `--window` probes of an `analyze` run,
+/// and what they recorded (window heatmaps fold across seeds; every seed
+/// starts at cycle 0, so they align).
+#[derive(Default)]
+struct Artefacts {
+    vcd: bool,
+    wave: bool,
+    window: Option<u64>,
+    vcd_text: Option<String>,
+    wave_csv: Option<String>,
+    windowed: Option<WindowedActivityProbe>,
+}
+
+impl ExtraProbes for Artefacts {
+    fn probes(&self) -> Vec<Box<dyn Probe>> {
+        let mut probes: Vec<Box<dyn Probe>> = Vec::new();
+        if self.vcd {
+            probes.push(Box::new(VcdProbe::default()));
+        }
+        if self.wave {
+            probes.push(Box::new(WaveCsvProbe::new()));
+        }
+        if let Some(k) = self.window {
+            probes.push(Box::new(WindowedActivityProbe::new(k)));
+        }
+        probes
+    }
+
+    fn harvest(&mut self, report: &mut SessionReport) {
+        if let Some(probe) = report.take_probe::<VcdProbe>() {
+            self.vcd_text = Some(probe.into_vcd());
+        }
+        if let Some(probe) = report.take_probe::<WaveCsvProbe>() {
+            self.wave_csv = Some(probe.into_csv());
+        }
+        if let Some(probe) = report.take_probe::<WindowedActivityProbe>() {
+            match self.windowed.as_mut() {
+                None => self.windowed = Some(probe),
+                Some(merged) => merged.merge(probe),
+            }
+        }
+    }
 }
 
 /// Compiles the kernel program under its own telemetry span whenever the
@@ -531,188 +569,118 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
     let config = analysis_config(&args, &library)?;
     let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
     let window = window_option(&args)?;
-    if let Some(spec) = args.option("flip") {
-        if seeds > 1 {
+    let flips = match args.option("flip") {
+        Some(spec) => {
+            if seeds > 1 {
+                return Err(CliError::Usage(
+                    "--flip applies to single-seed runs; drop --seeds or --flip".into(),
+                ));
+            }
+            for flag in ["vcd", "wave-csv", "window", "window-csv"] {
+                if args.option(flag).is_some() {
+                    return Err(CliError::Usage(format!(
+                        "--{flag} does not compose with the --flip fast path yet; drop one"
+                    )));
+                }
+            }
+            reject_engine_for(&config, "flip")?;
+            let flips = params::parse_flips(spec, &netlist)?;
+            // The run length is known before simulating anything; an
+            // out-of-range flip must not cost a full baseline pass first.
+            params::check_flip_cycles(&flips, config.cycles)?;
+            Some(flips)
+        }
+        None if args.option("baseline").is_some() => {
             return Err(CliError::Usage(
-                "--flip applies to single-seed runs; drop --seeds or --flip".into(),
+                "--baseline persists the --flip fast path's baseline; add --flip <list>".into(),
             ));
         }
-        for flag in ["vcd", "wave-csv", "window", "window-csv"] {
+        None => None,
+    };
+    if seeds > 1 {
+        for flag in ["vcd", "wave-csv"] {
             if args.option(flag).is_some() {
                 return Err(CliError::Usage(format!(
-                    "--{flag} does not compose with the --flip fast path yet; drop one"
+                    "--{flag} applies to single-seed runs; drop --seeds or --{flag}"
                 )));
             }
         }
-        reject_engine_for(&config, "flip")?;
-        return cmd_analyze_flip(&netlist, &path, &args, &config, spec, &mut telemetry);
     }
-    if args.option("baseline").is_some() {
-        return Err(CliError::Usage(
-            "--baseline persists the --flip fast path's baseline; add --flip <list>".into(),
-        ));
-    }
-    if seeds > 1 {
-        return cmd_analyze_aggregate(
-            &netlist,
-            &path,
-            &args,
-            &config,
-            seeds,
-            jobs,
-            window,
-            &mut telemetry,
-        );
-    }
-    let json = args.flag("json");
-
-    if !json {
-        println!("== {path}: `{}` ==", netlist.name());
-        print!("{}", netlist.stats());
-    }
-
-    // One session, one simulation pass: the analyzer's activity and power
-    // probes plus one extra probe per requested artefact.
     let program = compile_program(&netlist, &config, &telemetry)?;
-    let mut report = if config.engine == EngineKind::Kernel {
-        let program = program.as_ref().expect("compiled for the kernel engine");
-        let want_vcd = args.option("vcd").is_some();
-        let want_wave = args.option("wave-csv").is_some();
-        let with_metrics = telemetry.enabled();
-        let factory = move |_lane: usize| -> Vec<Box<dyn Probe>> {
-            let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-            if want_vcd {
-                probes.push(Box::new(VcdProbe::default()));
-            }
-            if want_wave {
-                probes.push(Box::new(WaveCsvProbe::new()));
-            }
-            if let Some(k) = window {
-                probes.push(Box::new(WindowedActivityProbe::new(k)));
-            }
-            if with_metrics {
-                probes.push(Box::new(MetricsProbe::new()));
-            }
-            probes
-        };
-        let job = kernel_job(&netlist, &config);
-        let reports = {
-            let _span = telemetry.span("simulate");
-            run_kernel_jobs(&netlist, program, std::slice::from_ref(&job), &factory)
-                .map_err(|e| run_err(format!("simulation failed: {e}")))?
-        };
-        reports
-            .into_iter()
-            .next()
-            .expect("one job in, one report out")
-    } else {
-        let analyzer = GlitchAnalyzer::new(config.clone());
-        let mut session = analyzer.session(&netlist, &input_buses(&netlist), &[]);
-        if args.option("vcd").is_some() {
-            session = session.probe(VcdProbe::default());
-        }
-        if args.option("wave-csv").is_some() {
-            session = session.probe(WaveCsvProbe::new());
-        }
-        if let Some(k) = window {
-            session = session.probe(WindowedActivityProbe::new(k));
-        }
-        if telemetry.enabled() {
-            session = session.probe(MetricsProbe::new());
-        }
-        if let Some(program) = &program {
-            // Hybrid: one functional kernel pass marks the provably quiet
-            // cycles; the queue replays those and settles only the rest.
-            let job = kernel_job(&netlist, &config);
-            let prepass = {
-                let _span = telemetry.span("kernel-prepass");
-                kernel_prepass(&netlist, program, std::slice::from_ref(&job))
-                    .map_err(|e| run_err(format!("kernel prepass failed: {e}")))?
-            };
-            if telemetry.enabled() {
-                let kernel = KernelTelemetry::from_prepass(&netlist, program, &prepass)
-                    .map_err(|e| run_err(format!("kernel prepass failed: {e}")))?;
-                telemetry.record_kernel(&kernel);
-            }
-            session = session.quiet_cycles(prepass.quiet_cycles(0));
-        }
-        let _span = telemetry.span("simulate");
-        session
-            .run()
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
+    let plan = Plan {
+        spans: telemetry.spans.as_ref(),
+        ..Plan::new(&netlist, config, seeds, jobs)
     };
-    telemetry.absorb_session(&mut report);
-
-    let vcd_text = report.take_probe::<VcdProbe>().map(VcdProbe::into_vcd);
-    let wave_csv = report
-        .take_probe::<WaveCsvProbe>()
-        .map(WaveCsvProbe::into_csv);
-    let windowed = report.take_probe::<WindowedActivityProbe>();
-    let passes = report.passes();
-    let events = report.total_events();
-    let max_settle = report.max_settle_time();
-    let cell_evals = report.total_cell_evals();
-    let analysis = GlitchAnalyzer::analysis(&netlist, report);
-    let totals = analysis.activity.totals();
-    if config.engine == EngineKind::Kernel {
-        if let Some(program) = &program {
-            telemetry.record_kernel(&KernelTelemetry {
-                engine: EngineKind::Kernel,
-                lanes: 1,
-                total_cycles: config.cycles,
-                quiet_cycles: 0,
-                total_pairs: 0,
-                quiet_pairs: 0,
-                functional_transitions: totals.transitions,
-                functional_cell_evals: program.op_count() as u64 * config.cycles,
-                program_ops: program.op_count(),
-                program_bytes: program.byte_size(),
-            });
+    let mut artefacts = Artefacts {
+        vcd: args.option("vcd").is_some(),
+        wave: args.option("wave-csv").is_some(),
+        window,
+        ..Artefacts::default()
+    };
+    let work = &mut telemetry.work;
+    let json = args.flag("json");
+    if let Some(flips) = &flips {
+        analyze_flip(&plan, &path, &args, flips, work)?;
+    } else if seeds > 1 {
+        let aggregate = exec::analyze_seeds(&plan, program.as_ref(), &mut artefacts, work)?;
+        print_aggregate(&plan, &path, &aggregate, artefacts.windowed.as_ref(), json);
+        if let Some(csv_path) = args.option("csv") {
+            write_file(csv_path, &aggregate.activity.to_csv())?;
+        }
+    } else {
+        if !json {
+            println!("== {path}: `{}` ==", netlist.name());
+            print!("{}", netlist.stats());
+        }
+        // One session, one simulation pass: the analyzer's activity and
+        // power probes plus one extra probe per requested artefact.
+        let run = exec::analyze(&plan, program.as_ref(), &mut artefacts, work)?;
+        let analysis = &run.analysis;
+        if json {
+            println!(
+                "{}",
+                report::analyze_json(
+                    &path,
+                    &netlist,
+                    analysis,
+                    run.passes,
+                    run.events,
+                    run.max_settle,
+                    run.cell_evals,
+                    artefacts.windowed.as_ref(),
+                )
+            );
+        } else {
+            let totals = analysis.activity.totals();
+            println!();
+            println!(
+                "one simulation pass: {} cycles, {} events, worst settle time {}",
+                analysis.cycles, run.events, run.max_settle
+            );
+            println!();
+            print!("{}", analysis.activity);
+            println!(
+                "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
+                 combinational activity by a factor of {:.2}",
+                totals.useless_to_useful(),
+                analysis.balance_reduction_factor()
+            );
+            println!();
+            print!("{}", analysis.power);
+        }
+        if let Some(csv_path) = args.option("csv") {
+            write_file(csv_path, &analysis.activity.to_csv())?;
+        }
+        if let Some(vcd_path) = args.option("vcd") {
+            let vcd = artefacts.vcd_text.take();
+            write_file(vcd_path, &vcd.expect("VcdProbe attached above"))?;
+        }
+        if let Some(wave_path) = args.option("wave-csv") {
+            let wave = artefacts.wave_csv.take();
+            write_file(wave_path, &wave.expect("WaveCsvProbe attached above"))?;
         }
     }
-
-    if json {
-        println!(
-            "{}",
-            report::analyze_json(
-                &path,
-                &netlist,
-                &analysis,
-                passes,
-                events,
-                max_settle,
-                cell_evals,
-                windowed.as_ref(),
-            )
-        );
-    } else {
-        println!();
-        println!(
-            "one simulation pass: {} cycles, {events} events, worst settle time {max_settle}",
-            analysis.cycles
-        );
-        println!();
-        print!("{}", analysis.activity);
-        println!(
-            "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
-             combinational activity by a factor of {:.2}",
-            totals.useless_to_useful(),
-            analysis.balance_reduction_factor()
-        );
-        println!();
-        print!("{}", analysis.power);
-    }
-
-    if let Some(csv_path) = args.option("csv") {
-        write_file(csv_path, &analysis.activity.to_csv())?;
-    }
-    if let Some(vcd_path) = args.option("vcd") {
-        write_file(vcd_path, &vcd_text.expect("VcdProbe attached above"))?;
-    }
-    if let Some(wave_path) = args.option("wave-csv") {
-        write_file(wave_path, &wave_csv.expect("WaveCsvProbe attached above"))?;
-    }
-    write_window_csv(&args, windowed.as_ref(), json)?;
+    write_window_csv(&args, artefacts.windowed.as_ref(), json)?;
     maybe_dot(&netlist, &args)?;
     telemetry.finish()
 }
@@ -767,137 +735,60 @@ fn incremental_line(stats: &IncrementalStats) -> String {
 /// `--baseline FILE` — loaded from disk when the file exists (skipping
 /// the recording pass; the "before" figures are then recovered by an
 /// empty-delta replay, which costs no cell evaluations) and recorded and
-/// saved when it does not. Loaded baselines are validated against the
-/// netlist (including its structural fingerprint), the cycle count, the
-/// delay model, the simulator options and — by regenerating the
-/// configured stimulus and comparing it cycle for cycle — the stimulus
-/// itself, so a `--seed` mismatch is caught too.
+/// saved when it does not. Loaded baselines are validated by
+/// [`exec::baseline_mismatch`], so a `--seed` mismatch is caught too.
 fn obtain_baseline(
-    netlist: &Netlist,
+    plan: &Plan<'_>,
     baseline_path: Option<&str>,
-    analyzer: &GlitchAnalyzer,
-    config: &AnalysisConfig,
 ) -> Result<(Analysis, SimBaseline, Option<String>), CliError> {
-    if let Some(file) = baseline_path {
-        if Path::new(file).exists() {
-            let baseline = SimBaseline::load(file).map_err(|e| run_err(format!("{file}: {e}")))?;
-            if !baseline.matches_netlist(netlist) {
-                return Err(run_err(format!(
-                    "{file}: baseline was recorded on `{}`, which does not match \
-                     `{}` structurally (the circuit may have been edited since); \
-                     delete the file to re-record",
-                    baseline.netlist_name(),
-                    netlist.name()
-                )));
-            }
-            if baseline.cycle_count() != config.cycles {
-                return Err(run_err(format!(
-                    "{file}: baseline records {} cycles but --cycles is {}",
-                    baseline.cycle_count(),
-                    config.cycles
-                )));
-            }
-            if baseline.delay() != &config.delay {
-                return Err(run_err(format!(
-                    "{file}: baseline was recorded under a different delay model; \
-                     re-record or match --delay"
-                )));
-            }
-            if baseline.options() != config.options {
-                return Err(run_err(format!(
-                    "{file}: baseline was recorded under different simulator options; \
-                     re-record or match them"
-                )));
-            }
-            // The file does not store the stimulus seed; regenerate the
-            // configured stimulus and compare it cycle for cycle against
-            // the recorded assignments, so a `--seed` mismatch fails
-            // loudly instead of silently replaying another run's inputs.
-            let mut regenerated =
-                RandomStimulus::new(input_buses(netlist), config.cycles, config.seed);
-            for cycle in 0..baseline.cycle_count() {
-                if regenerated.next().as_ref() != Some(baseline.assignment(cycle)) {
-                    return Err(run_err(format!(
-                        "{file}: baseline was recorded under a different stimulus \
-                         (cycle {cycle} differs — --seed mismatch?); re-record or \
-                         match --seed"
-                    )));
-                }
-            }
-            // Recover the "before" figures by replaying the baseline
-            // through fresh probes — O(transitions), zero cell evaluations.
-            let before = analyzer
-                .analyze_delta(netlist, &baseline, &DeltaStimulus::new())
-                .map_err(|e| run_err(format!("{file}: baseline replay failed: {e}")))?;
-            return Ok((
-                before.analysis,
-                baseline,
-                Some(format!(
-                    "loaded baseline from {file} (re-recording skipped)"
-                )),
-            ));
+    let Some(file) = baseline_path else {
+        let (before, baseline) = exec::record_baseline(plan)?;
+        return Ok((before, baseline, None));
+    };
+    if Path::new(file).exists() {
+        let baseline = SimBaseline::load(file).map_err(|e| run_err(format!("{file}: {e}")))?;
+        if let Some(mismatch) = exec::baseline_mismatch(plan, &baseline) {
+            return Err(run_err(format!("{file}: {mismatch}")));
         }
-        let (before, baseline) = analyzer
-            .analyze_baseline(netlist, &input_buses(netlist), &[])
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?;
-        baseline
-            .save(file)
-            .map_err(|e| run_err(format!("{file}: {e}")))?;
-        return Ok((before, baseline, Some(format!("wrote baseline to {file}"))));
+        let before =
+            exec::replay_baseline(plan, &baseline).map_err(|e| run_err(format!("{file}: {e}")))?;
+        let note = format!("loaded baseline from {file} (re-recording skipped)");
+        return Ok((before, baseline, Some(note)));
     }
-    let (before, baseline) = analyzer
-        .analyze_baseline(netlist, &input_buses(netlist), &[])
-        .map_err(|e| run_err(format!("simulation failed: {e}")))?;
-    Ok((before, baseline, None))
+    let (before, baseline) = exec::record_baseline(plan)?;
+    baseline
+        .save(file)
+        .map_err(|e| run_err(format!("{file}: {e}")))?;
+    Ok((before, baseline, Some(format!("wrote baseline to {file}"))))
 }
 
 /// The `analyze --flip` fast path: record the configured run as a
 /// baseline, then incrementally re-simulate it with the listed input bits
 /// changed — bit-identical to a full rerun, at the cost of the dirty
 /// region only.
-fn cmd_analyze_flip(
-    netlist: &Netlist,
+fn analyze_flip(
+    plan: &Plan<'_>,
     path: &str,
     args: &Args,
-    config: &AnalysisConfig,
-    spec: &str,
-    telemetry: &mut Telemetry,
+    flips: &[FlipSpec],
+    work: &mut WorkRecorder,
 ) -> Result<(), CliError> {
-    let flips = params::parse_flips(spec, netlist)?;
-    // The run length is known before simulating anything; an out-of-range
-    // flip must not cost a full baseline pass first.
-    params::check_flip_cycles(&flips, config.cycles)?;
-    let json = args.flag("json");
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    let (before, baseline, baseline_note) = {
-        let _span = telemetry.span("simulate");
-        obtain_baseline(netlist, args.option("baseline"), &analyzer, config)?
-    };
+    let netlist = plan.netlist;
+    let (before, baseline, baseline_note) = obtain_baseline(plan, args.option("baseline"))?;
+    let run = exec::flip(plan, &baseline, flips, None, work)?;
+    let (after, stats) = (&run.after.analysis, &run.after.incremental);
 
-    let (delta, applied) = params::flips_to_delta(&flips, &baseline)?;
-
-    let after = {
-        let _span = telemetry.span("incremental");
-        analyzer
-            .analyze_delta(netlist, &baseline, &delta)
-            .map_err(|e| run_err(format!("incremental simulation failed: {e}")))?
-    };
-    let stats = after.incremental;
-    telemetry.record_incremental(&stats);
-    let before_totals = before.activity.totals();
-    let after_totals = after.analysis.activity.totals();
-
-    if json {
+    if args.flag("json") {
         println!(
             "{}",
             report::analyze_flip_json(
                 path,
                 netlist,
                 baseline.cycle_count(),
-                &applied,
-                &stats,
+                &run.applied,
+                stats,
                 &before,
-                &after.analysis,
+                after,
             )
         );
     } else {
@@ -912,10 +803,8 @@ fn cmd_analyze_flip(
             baseline.cycle_count(),
             baseline.total_cell_evals()
         );
-        for (name, cycle, value) in &applied {
-            println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
-        }
-        println!("{}", incremental_line(&stats));
+        print_applied(&run.applied);
+        println!("{}", incremental_line(stats));
         println!();
         let mut table = TextTable::new(vec![
             "run",
@@ -925,17 +814,15 @@ fn cmd_analyze_flip(
             "L/F",
             "total (mW)",
         ]);
-        for (label, totals, power) in [
-            ("baseline", &before_totals, &before.power),
-            ("flipped", &after_totals, &after.analysis.power),
-        ] {
+        for (label, analysis) in [("baseline", &before), ("flipped", after)] {
+            let totals = analysis.activity.totals();
             table.add_row(vec![
                 label.to_string(),
                 totals.useful.to_string(),
                 totals.useless.to_string(),
                 totals.glitches().to_string(),
                 format!("{:.3}", totals.useless_to_useful()),
-                format!("{:.3}", power.breakdown.total() * 1e3),
+                format!("{:.3}", analysis.power.breakdown.total() * 1e3),
             ]);
         }
         print!("{table}");
@@ -945,140 +832,70 @@ fn cmd_analyze_flip(
         );
     }
     if let Some(csv_path) = args.option("csv") {
-        write_file(csv_path, &after.analysis.activity.to_csv())?;
+        write_file(csv_path, &after.activity.to_csv())?;
     }
-    maybe_dot(netlist, args)?;
-    telemetry.finish()
+    Ok(())
 }
 
-/// The multi-seed `analyze` path: one session per seed fanned across the
-/// worker pool, reduced into an aggregate with per-seed spread.
-#[allow(clippy::too_many_arguments)]
-fn cmd_analyze_aggregate(
-    netlist: &Netlist,
-    path: &str,
-    args: &Args,
-    config: &AnalysisConfig,
-    seeds: usize,
-    jobs: usize,
-    window: Option<u64>,
-    telemetry: &mut Telemetry,
-) -> Result<(), CliError> {
-    for flag in ["vcd", "wave-csv"] {
-        if args.option(flag).is_some() {
-            return Err(CliError::Usage(format!(
-                "--{flag} applies to single-seed runs; drop --seeds or --{flag}"
-            )));
-        }
+/// Prints one `flip:` line per applied input flip.
+fn print_applied(applied: &[AppliedFlip]) {
+    for (name, cycle, value) in applied {
+        println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
     }
-    let json = args.flag("json");
-    let seed_list = stimulus_seeds(config.seed, seeds);
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    let with_metrics = telemetry.enabled();
-    let factory = move |_shard: usize| -> Vec<Box<dyn Probe>> {
-        let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-        if let Some(k) = window {
-            probes.push(Box::new(WindowedActivityProbe::new(k)));
-        }
-        if with_metrics {
-            probes.push(Box::new(MetricsProbe::new()));
-        }
-        probes
-    };
-    let program = compile_program(netlist, config, telemetry)?;
-    let batch_start = telemetry.now_micros();
-    let (aggregate, mut reports) = {
-        let _span = telemetry.span("simulate");
-        analyzer
-            .analyze_seeds_compiled(
-                netlist,
-                &input_buses(netlist),
-                &[],
-                &seed_list,
-                jobs,
-                &factory,
-                program.as_ref(),
-            )
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
-    };
-    telemetry.record_shard_spans(batch_start, aggregate.aggregate.shards());
-    if let Some(kernel) = &aggregate.kernel {
-        telemetry.record_kernel(kernel);
-    }
-    // Fold the per-seed window heatmaps (aligned: every seed starts at
-    // cycle 0) into one aggregate heatmap, and the per-seed metrics
-    // registries in seed order (the `--jobs`-invariance discipline).
-    let merge_start = telemetry.now_micros();
-    let mut windowed: Option<WindowedActivityProbe> = None;
-    for report in &mut reports {
-        if let Some(probe) = report.take_probe::<WindowedActivityProbe>() {
-            match windowed.as_mut() {
-                None => windowed = Some(probe),
-                Some(merged) => merged.merge(probe),
-            }
-        }
-        telemetry.absorb_session(report);
-    }
-    telemetry.record_span_since("merge", merge_start);
+}
 
-    let totals = aggregate.activity.totals();
+/// Prints the multi-seed `analyze` report: the aggregate with per-seed
+/// spread.
+fn print_aggregate(
+    plan: &Plan<'_>,
+    path: &str,
+    aggregate: &AggregateAnalysis,
+    windowed: Option<&WindowedActivityProbe>,
+    json: bool,
+) {
+    let (netlist, cycles, seeds, jobs) = (plan.netlist, plan.config.cycles, plan.seeds, plan.jobs);
     if json {
         println!(
             "{}",
-            report::analyze_aggregate_json(
-                path,
-                netlist,
-                seeds,
-                jobs,
-                config.cycles,
-                &aggregate,
-                windowed.as_ref(),
-            )
+            report::analyze_aggregate_json(path, netlist, seeds, jobs, cycles, aggregate, windowed)
         );
-    } else {
-        println!("== {path}: `{}` ==", netlist.name());
-        print!("{}", netlist.stats());
-        println!();
-        println!(
-            "parallel sweep: {seeds} seeds x {} cycles on {jobs} jobs \
-             ({} cycles total, {} events, worst settle time {})",
-            config.cycles,
-            aggregate.total_cycles(),
-            aggregate.aggregate.total_events(),
-            aggregate.aggregate.max_settle_time()
-        );
-        println!();
-        println!("per-seed spread ({seeds} seeds):");
-        println!("  glitches        {}", aggregate.glitch_spread());
-        println!("  useless         {}", aggregate.useless_spread());
-        println!("  L/F             {}", aggregate.lf_ratio_spread());
-        let power_mw = aggregate.power_spread();
-        println!(
-            "  total power (mW) {:.3} ± {:.3} (min {:.3}, max {:.3})",
-            power_mw.mean * 1e3,
-            power_mw.stddev * 1e3,
-            power_mw.min * 1e3,
-            power_mw.max * 1e3
-        );
-        println!();
-        println!("aggregate over the combined activity of all seeds:");
-        print!("{}", aggregate.activity);
-        println!(
-            "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
-             combinational activity by a factor of {:.2}",
-            totals.useless_to_useful(),
-            totals.balance_reduction_factor()
-        );
-        println!();
-        print!("{}", aggregate.power);
+        return;
     }
-
-    if let Some(csv_path) = args.option("csv") {
-        write_file(csv_path, &aggregate.activity.to_csv())?;
-    }
-    write_window_csv(args, windowed.as_ref(), json)?;
-    maybe_dot(netlist, args)?;
-    telemetry.finish()
+    let totals = aggregate.activity.totals();
+    println!("== {path}: `{}` ==", netlist.name());
+    print!("{}", netlist.stats());
+    println!();
+    println!(
+        "parallel sweep: {seeds} seeds x {cycles} cycles on {jobs} jobs \
+         ({} cycles total, {} events, worst settle time {})",
+        aggregate.total_cycles(),
+        aggregate.aggregate.total_events(),
+        aggregate.aggregate.max_settle_time()
+    );
+    println!();
+    println!("per-seed spread ({seeds} seeds):");
+    println!("  glitches        {}", aggregate.glitch_spread());
+    println!("  useless         {}", aggregate.useless_spread());
+    println!("  L/F             {}", aggregate.lf_ratio_spread());
+    let power_mw = aggregate.power_spread();
+    println!(
+        "  total power (mW) {:.3} ± {:.3} (min {:.3}, max {:.3})",
+        power_mw.mean * 1e3,
+        power_mw.stddev * 1e3,
+        power_mw.min * 1e3,
+        power_mw.max * 1e3
+    );
+    println!();
+    println!("aggregate over the combined activity of all seeds:");
+    print!("{}", aggregate.activity);
+    println!(
+        "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
+         combinational activity by a factor of {:.2}",
+        totals.useless_to_useful(),
+        totals.balance_reduction_factor()
+    );
+    println!();
+    print!("{}", aggregate.power);
 }
 
 const SIMULATE_SPEC: Spec = Spec {
@@ -1160,39 +977,15 @@ fn cmd_power(raw: &[String]) -> Result<(), CliError> {
     let library = library_for(&args)?;
     let config = analysis_config(&args, &library)?;
     let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
+    let plan = Plan {
+        spans: telemetry.spans.as_ref(),
+        ..Plan::new(&netlist, config, seeds, jobs)
+    };
     if seeds > 1 {
-        let seed_list = stimulus_seeds(config.seed, seeds);
-        let with_metrics = telemetry.enabled();
-        let factory = move |_shard: usize| -> Vec<Box<dyn Probe>> {
-            if with_metrics {
-                vec![Box::new(MetricsProbe::new())]
-            } else {
-                Vec::new()
-            }
-        };
-        let batch_start = telemetry.now_micros();
-        let (aggregate, mut reports) = {
-            let _span = telemetry.span("simulate");
-            GlitchAnalyzer::new(config.clone())
-                .analyze_seeds_with(
-                    &netlist,
-                    &input_buses(&netlist),
-                    &[],
-                    &seed_list,
-                    jobs,
-                    &factory,
-                )
-                .map_err(|e| run_err(format!("simulation failed: {e}")))?
-        };
-        telemetry.record_shard_spans(batch_start, aggregate.aggregate.shards());
-        let merge_start = telemetry.now_micros();
-        for report in &mut reports {
-            telemetry.absorb_session(report);
-        }
-        telemetry.record_span_since("merge", merge_start);
+        let aggregate = exec::analyze_seeds(&plan, None, &mut (), &mut telemetry.work)?;
         println!(
             "aggregate of {seeds} seeds x {} cycles on {jobs} jobs:",
-            config.cycles
+            plan.config.cycles
         );
         print!("{}", aggregate.power);
         let spread = aggregate.power_spread();
@@ -1203,24 +996,10 @@ fn cmd_power(raw: &[String]) -> Result<(), CliError> {
             spread.min * 1e3,
             spread.max * 1e3
         );
-        return telemetry.finish();
-    }
-    let analysis = if telemetry.enabled() {
-        let analyzer = GlitchAnalyzer::new(config.clone());
-        let mut report = {
-            let _span = telemetry.span("simulate");
-            analyzer
-                .session(&netlist, &input_buses(&netlist), &[])
-                .probe(MetricsProbe::new())
-                .run()
-                .map_err(|e| run_err(format!("simulation failed: {e}")))?
-        };
-        telemetry.absorb_session(&mut report);
-        GlitchAnalyzer::analysis(&netlist, report)
     } else {
-        analyze_netlist(&netlist, &config)?
-    };
-    print!("{}", analysis.power);
+        let run = exec::analyze(&plan, None, &mut (), &mut telemetry.work)?;
+        print!("{}", run.analysis.power);
+    }
     telemetry.finish()
 }
 
@@ -1271,48 +1050,24 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
     }
     let models = params::delay_sweep_models(args.option("delays"), &library)?;
     let (seeds, jobs) = seeds_and_jobs(&args, models.len())?;
-    let seed_list = stimulus_seeds(config.seed, seeds);
-    let json = args.flag("json");
-
     let program = compile_program(&netlist, &config, &telemetry)?;
-    let batch_start = telemetry.now_micros();
-    let points = {
-        let _span = telemetry.span("simulate");
-        GlitchAnalyzer::new(config.clone())
-            .sweep_delays_compiled(
-                &netlist,
-                &input_buses(&netlist),
-                &[],
-                &models,
-                &seed_list,
-                jobs,
-                program.as_ref(),
-            )
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
+    let cycles = config.cycles;
+    let plan = Plan {
+        spans: telemetry.spans.as_ref(),
+        ..Plan::new(&netlist, config, seeds, jobs)
     };
-    let merge_start = telemetry.now_micros();
-    // The prepass runs once for the whole sweep, so its classification is
-    // recorded once (every point carries the same copy).
-    if let Some(kernel) = points.first().and_then(|p| p.analysis.kernel.as_ref()) {
-        telemetry.record_kernel(kernel);
-    }
-    for point in &points {
-        telemetry.record_aggregate(&point.analysis.aggregate);
-        telemetry.record_shard_spans(batch_start, point.analysis.aggregate.shards());
-    }
-    telemetry.record_span_since("merge", merge_start);
+    let points = exec::sweep(&plan, &models, program.as_ref(), &mut telemetry.work)?;
 
-    if json {
+    if args.flag("json") {
         println!(
             "{}",
-            report::sweep_json(&path, &netlist, seeds, jobs, config.cycles, &points)
+            report::sweep_json(&path, &netlist, seeds, jobs, cycles, &points)
         );
     } else {
         println!(
-            "delay-model sweep of `{}`: {} models x {seeds} seeds x {} cycles on {jobs} jobs",
+            "delay-model sweep of `{}`: {} models x {seeds} seeds x {cycles} cycles on {jobs} jobs",
             netlist.name(),
             models.len(),
-            config.cycles
         );
         let mut table = TextTable::new(vec![
             "delay",
@@ -1416,7 +1171,7 @@ fn cmd_sweep_flips(
             .map_err(|e| run_err(format!("simulation failed: {e}")))?
     };
     for point in &points {
-        telemetry.record_incremental(&point.incremental);
+        telemetry.work.record_incremental(&point.incremental);
     }
     let base_totals = baseline.activity.totals();
     // Per-flip means: every point re-runs the same baseline, so the
@@ -1641,13 +1396,15 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
     telemetry.cone_index_phase(&netlist);
     let library = library_for(&args)?;
     let mut config = analysis_config(&args, &library)?;
-    if args.flag("x-init") {
+    let x_init = args.flag("x-init");
+    if x_init {
         config.options = SimOptions::x_init();
     }
     let mut suite = build_check_suite(&args, &netlist)?;
     if telemetry.enabled() {
         suite = suite.with_timing();
     }
+    let json = args.flag("json");
     if let Some(spec) = args.option("flip") {
         if args.option("seeds").is_some() {
             return Err(CliError::Usage(
@@ -1655,66 +1412,71 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
             ));
         }
         reject_engine_for(&config, "flip")?;
-        return cmd_check_flip(
-            &netlist,
-            &path,
-            &args,
-            &config,
-            &suite,
-            spec,
-            &mut telemetry,
-        );
+        let flips = params::parse_flips(spec, &netlist)?;
+        params::check_flip_cycles(&flips, config.cycles)?;
+        let plan = Plan {
+            spans: telemetry.spans.as_ref(),
+            ..Plan::new(&netlist, config, 1, 1)
+        };
+        let run = exec::check_flip(&plan, &suite, &flips, &mut telemetry.work)?;
+        let flipped = &run.flipped.report;
+        if json {
+            println!(
+                "{}",
+                report::check_flip_json(
+                    &path,
+                    &netlist,
+                    run.cycles,
+                    x_init,
+                    &run.applied,
+                    &run.base_report,
+                    &run.flipped,
+                )
+            );
+        } else {
+            println!("== {path}: `{}` ==", netlist.name());
+            println!(
+                "verification (incremental): {} cycles; x-init {}; {} checkers",
+                run.cycles,
+                on_off(x_init),
+                suite.checker_count()
+            );
+            print_applied(&run.applied);
+            println!("{}", incremental_line(&run.flipped.incremental));
+            println!();
+            println!("baseline verdict: {}", verdict_line(&run.base_report));
+            println!("flipped verdict:  {}", verdict_line(flipped));
+            println!();
+            print_verify_text(flipped, &netlist);
+            println!(
+                "(flipped verdicts are bit-identical to a full re-simulation of \
+                 the changed stimulus)"
+            );
+        }
+        telemetry.finish()?;
+        return strict_exit(&args, flipped);
     }
     let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
-    let json = args.flag("json");
-    let seed_list = stimulus_seeds(config.seed, seeds);
-    let analyzer = GlitchAnalyzer::new(config.clone());
     let program = compile_program(&netlist, &config, &telemetry)?;
-    let batch_start = telemetry.now_micros();
-    let checked = {
-        let _span = telemetry.span("simulate");
-        analyzer
-            .check_seeds_compiled(
-                &netlist,
-                &input_buses(&netlist),
-                &[],
-                &suite,
-                &seed_list,
-                jobs,
-                program.as_ref(),
-            )
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
+    let cycles = config.cycles;
+    let plan = Plan {
+        spans: telemetry.spans.as_ref(),
+        ..Plan::new(&netlist, config, seeds, jobs)
     };
-    telemetry.record_shard_spans(batch_start, checked.analysis.aggregate.shards());
-    if let Some(kernel) = &checked.analysis.kernel {
-        telemetry.record_kernel(kernel);
-    }
-    let merge_start = telemetry.now_micros();
-    telemetry.record_aggregate(&checked.analysis.aggregate);
-    telemetry.record_check(&checked.report, &checked.checker_micros);
-    telemetry.record_span_since("merge", merge_start);
+    let checked = exec::check(&plan, &suite, program.as_ref(), &mut telemetry.work)?;
     let report = &checked.report;
 
     if json {
         println!(
             "{}",
-            report::check_json(
-                &path,
-                &netlist,
-                config.cycles,
-                seeds,
-                jobs,
-                args.flag("x-init"),
-                &checked,
-            )
+            report::check_json(&path, &netlist, cycles, seeds, jobs, x_init, &checked)
         );
     } else {
         println!("== {path}: `{}` ==", netlist.name());
         println!(
-            "verification: {seeds} seeds x {} cycles on {jobs} jobs; x-init {}; \
+            "verification: {seeds} seeds x {cycles} cycles on {jobs} jobs; x-init {}; \
              {} checkers ({} cycles total, worst settle time {})",
-            config.cycles,
-            if args.flag("x-init") { "on" } else { "off" },
+            on_off(x_init),
             suite.checker_count(),
             checked.analysis.total_cycles(),
             checked.analysis.aggregate.max_settle_time()
@@ -1727,78 +1489,12 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
     strict_exit(&args, report)
 }
 
-/// The `check --flip` fast path: check the recorded baseline, then
-/// incrementally re-check it with the listed input bits changed. Both
-/// verdicts are reported; the flipped one is bit-identical to a full
-/// re-simulation of the changed stimulus.
-#[allow(clippy::too_many_arguments)]
-fn cmd_check_flip(
-    netlist: &Netlist,
-    path: &str,
-    args: &Args,
-    config: &AnalysisConfig,
-    suite: &CheckSuite,
-    spec: &str,
-    telemetry: &mut Telemetry,
-) -> Result<(), CliError> {
-    let flips = params::parse_flips(spec, netlist)?;
-    params::check_flip_cycles(&flips, config.cycles)?;
-    let json = args.flag("json");
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    let (base_report, _, baseline) = {
-        let _span = telemetry.span("simulate");
-        analyzer
-            .check_baseline(netlist, &input_buses(netlist), &[], suite)
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
-    };
-
-    let (delta, applied) = params::flips_to_delta(&flips, &baseline)?;
-    let flipped = {
-        let _span = telemetry.span("incremental");
-        analyzer
-            .check_delta(netlist, &baseline, &delta, suite)
-            .map_err(|e| run_err(format!("incremental simulation failed: {e}")))?
-    };
-    telemetry.record_incremental(&flipped.incremental);
-    telemetry.record_check(&flipped.report, &[]);
-
-    if json {
-        println!(
-            "{}",
-            report::check_flip_json(
-                path,
-                netlist,
-                baseline.cycle_count(),
-                args.flag("x-init"),
-                &applied,
-                &base_report,
-                &flipped,
-            )
-        );
+fn on_off(flag: bool) -> &'static str {
+    if flag {
+        "on"
     } else {
-        println!("== {path}: `{}` ==", netlist.name());
-        println!(
-            "verification (incremental): {} cycles; x-init {}; {} checkers",
-            baseline.cycle_count(),
-            if args.flag("x-init") { "on" } else { "off" },
-            suite.checker_count()
-        );
-        for (name, cycle, value) in &applied {
-            println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
-        }
-        println!("{}", incremental_line(&flipped.incremental));
-        println!();
-        println!("baseline verdict: {}", verdict_line(&base_report));
-        println!("flipped verdict:  {}", verdict_line(&flipped.report));
-        println!();
-        print_verify_text(&flipped.report, netlist);
-        println!(
-            "(flipped verdicts are bit-identical to a full re-simulation of \
-             the changed stimulus)"
-        );
+        "off"
     }
-    telemetry.finish()?;
-    strict_exit(args, &flipped.report)
 }
 
 /// Applies `--strict`: a failing verdict becomes a command error.
@@ -1935,38 +1631,26 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
         max_iters,
         ..defaults
     };
-    let seed_list = params::stimulus_seeds(config.seed, seeds);
     let cycles = config.cycles;
-    let session = glitch_core::ReduceSession::new(config, seed_list, jobs);
-    let start = telemetry.now_micros();
-    let reducer = glitch_reduce::Reducer::new(session, options);
-    let report = if args.flag("progress") {
-        // The same rows the daemon streams for `"progress": true`, minus
-        // the request id — printed as they happen, before the report.
-        struct PrintProgress<'a>(&'a str);
-        impl glitch_reduce::ProgressSink for PrintProgress<'_> {
-            fn iteration(&mut self, event: &glitch_reduce::ProgressEvent<'_>) {
-                println!("{}", report::reduce_progress_json(self.0, event, None));
+    // The same rows the daemon streams for `"progress": true`, minus the
+    // request id — printed as they happen, before the report.
+    struct PrintProgress<'a>(Option<&'a str>);
+    impl glitch_reduce::ProgressSink for PrintProgress<'_> {
+        fn iteration(&mut self, event: &glitch_reduce::ProgressEvent<'_>) {
+            if let Some(file) = self.0 {
+                println!("{}", report::reduce_progress_json(file, event, None));
                 use std::io::Write as _;
                 std::io::stdout().flush().ok();
             }
         }
-        reducer.run_with_progress(
-            &netlist,
-            &input_buses(&netlist),
-            &[],
-            &mut PrintProgress(&path),
-        )
-    } else {
-        reducer.run(&netlist, &input_buses(&netlist), &[])
     }
-    .map_err(|e| run_err(format!("{path}: reduction failed: {e}")))?;
-    telemetry.record_span_since("reduce", start);
-    telemetry.add_counter("reduce.iterations", report.iterations as u64);
-    telemetry.add_counter("reduce.proposed", report.proposed as u64);
-    telemetry.add_counter("reduce.screened", report.screened as u64);
-    telemetry.add_counter("reduce.confirmed", report.confirmed as u64);
-    telemetry.add_counter("reduce.accepted", report.moves.len() as u64);
+    let mut progress = PrintProgress(args.flag("progress").then_some(path.as_str()));
+    let plan = Plan {
+        spans: telemetry.spans.as_ref(),
+        ..Plan::new(&netlist, config, seeds, jobs)
+    };
+    let report = exec::reduce(&plan, options, &mut progress, &mut telemetry.work)
+        .map_err(|e| run_err(format!("{path}: {e}")))?;
 
     if args.flag("json") {
         println!(

@@ -36,9 +36,10 @@
 //! A functionally quiet net cannot glitch under *any* delay assignment
 //! (Függer et al., "Faithful Glitch Propagation in Binary Circuit
 //! Models"), so a cheap functional pass is a sound pre-filter for the
-//! expensive timed settle: the hybrid engine in `glitch-core` runs this
-//! kernel over all seeds at once and only dispatches the cycles the kernel
-//! could not prove quiet to the event queue.
+//! expensive timed settle: the opt-in hybrid engine in `glitch-core` runs
+//! this kernel over all seeds and dispatches only the cycles it could not
+//! prove quiet to the event queue (few, on real-size circuits, so the
+//! queue is the CLI's and the daemon's default engine).
 
 mod program;
 mod state;

@@ -13,7 +13,7 @@ use crate::metrics::{Histogram, MetricsRegistry};
 use crate::span::SpanLog;
 
 /// Escapes a string for a JSON string literal (without the quotes).
-fn escape_json(text: &str) -> String {
+pub fn escape_json(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {

@@ -16,7 +16,7 @@
 //! netlist against the **original** through the composed move mapping,
 //! under the configured delay model, both binary and `x_init`.
 
-use glitch_core::{EngineKind, ReduceScore, ReduceSession};
+use glitch_core::{ReduceScore, ReduceSession};
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_retime::{NetMap, PipelineOptions};
 use glitch_verify::{EquivalenceChecker, EquivalenceReport};
@@ -156,15 +156,13 @@ impl Reducer {
         Reducer { session, options }
     }
 
-    /// The screen backend the configured engine implies: pure-queue runs
-    /// screen through the event queue, kernel-assisted runs batch-screen
-    /// through the compiled kernel. Both decide identically (pinned).
+    /// The screen backend: candidates are always batch-screened through
+    /// the compiled kernel, whatever engine scores them. The per-lane
+    /// [`ScreenBackend::Queue`] screen decides identically (pinned by the
+    /// `screen_pin` test) at many times the cost; it is only the reference.
     #[must_use]
     pub fn screen_backend(&self) -> ScreenBackend {
-        match self.session.config().engine {
-            EngineKind::Queue => ScreenBackend::Queue,
-            EngineKind::Kernel | EngineKind::Hybrid => ScreenBackend::Kernel,
-        }
+        ScreenBackend::Kernel
     }
 
     /// Reduces `netlist`: descends on glitch power with the enabled moves

@@ -11,9 +11,10 @@
 //!
 //! * [`ScreenBackend::Kernel`] — both netlists compiled to bit-parallel
 //!   [`KernelProgram`]s, all lanes evaluated per machine word. This is
-//!   the batch path the hybrid/kernel engines use.
+//!   the batch path the reducer uses under every engine.
 //! * [`ScreenBackend::Queue`] — one event-driven [`ClockedSimulator`]
-//!   per lane per side. The reference path.
+//!   per lane per side. The reference path the pin test and the
+//!   `reduce_loop/screen_queue` bench compare against.
 //!
 //! Settled end-of-cycle values are delay-independent, and the kernel is
 //! pinned bit-for-bit against the event-driven simulator (the kernel

@@ -11,7 +11,9 @@
 use glitch_core::{AnalysisConfig, EngineKind, ReduceSession};
 use glitch_io::{parse_netlist, Format, GateLibrary};
 use glitch_netlist::{Bus, Netlist};
-use glitch_reduce::{MoveKind, ProgressEvent, ProgressSink, ReduceOptions, ReduceReport, Reducer};
+use glitch_reduce::{
+    MoveKind, ProgressEvent, ProgressSink, ReduceOptions, ReduceReport, Reducer, ScreenBackend,
+};
 
 fn load(file: &str) -> Netlist {
     let path = format!("{}/../../tests/data/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -121,8 +123,8 @@ fn reports_are_identical_at_any_worker_count() {
 
 #[test]
 fn hybrid_engine_reduces_identically_to_queue() {
-    // The hybrid engine screens through the kernel and scores through the
-    // pruned queue — every figure must still match the pure-queue run.
+    // The hybrid engine scores through the pruned queue — every figure
+    // must still match the pure-queue run.
     let queue = reduce("mult4.blif", EngineKind::Queue, 2, ReduceOptions::default());
     let hybrid = reduce(
         "mult4.blif",
@@ -131,6 +133,22 @@ fn hybrid_engine_reduces_identically_to_queue() {
         ReduceOptions::default(),
     );
     assert_eq!(fingerprint(&queue), fingerprint(&hybrid));
+}
+
+#[test]
+fn every_engine_screens_candidates_through_the_kernel() {
+    for engine in [EngineKind::Queue, EngineKind::Hybrid] {
+        let session = ReduceSession::new(
+            AnalysisConfig {
+                engine,
+                ..AnalysisConfig::default()
+            },
+            vec![11],
+            1,
+        );
+        let reducer = Reducer::new(session, ReduceOptions::default());
+        assert_eq!(reducer.screen_backend(), ScreenBackend::Kernel, "{engine}");
+    }
 }
 
 #[test]

@@ -3,10 +3,13 @@
 //! byte-identical to one-shot CLI runs).
 //!
 //! Small by design: an order-preserving object builder with typed `field`
-//! methods and correct string escaping. Non-finite floats serialise as
+//! methods, escaping strings with the metrics exporters'
+//! [`escape_json`]. Non-finite floats serialise as
 //! `null`, matching what strict JSON parsers accept.
 
 use std::fmt::Write as _;
+
+use glitch_obs::export::escape_json;
 
 /// An order-preserving JSON object under construction.
 #[derive(Debug, Default)]
@@ -27,7 +30,7 @@ impl JsonObject {
 
     /// Adds a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.push(key, format!("\"{}\"", escape(value)));
+        self.push(key, format!("\"{}\"", escape_json(value)));
         self
     }
 
@@ -86,7 +89,7 @@ impl JsonObject {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape(key), value);
+            let _ = write!(out, "\"{}\":{}", escape_json(key), value);
         }
         out.push('}');
         out
@@ -108,25 +111,6 @@ where
         out.push_str(item.as_ref());
     }
     out.push(']');
-    out
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

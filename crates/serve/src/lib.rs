@@ -12,20 +12,25 @@
 //!   [`glitch_core::netlist::Netlist::fingerprint`], baselines by their
 //!   full parameter set, with single-flight coalescing, LRU byte-budget
 //!   eviction and atomic disk spill.
-//! - [`engine`]: job execution mirroring the CLI's command paths call for
-//!   call, so responses are byte-identical to one-shot `--json` output.
+//! - [`exec`]: the one implementation of each analysis op (`analyze`,
+//!   `flip`, `check`, `sweep`, `reduce`), run by both the daemon and the
+//!   CLI, so responses are byte-identical to one-shot `--json` output.
+//! - [`engine`]: the daemon's request handling around [`exec`]: cache
+//!   lookups, counters, latency, trace spans and the access log.
 //! - [`server`] / [`client`]: the worker-pool daemon and its blocking
 //!   line-protocol client.
 //!
 //! The CLI layers (`glitch-cli serve` / `glitch-cli client`) are thin
 //! wrappers over [`server::run_server`] and [`client::Client`]. The
-//! shared JSON emission ([`json`]), parameter resolution ([`params`]) and
-//! report envelopes ([`report`]) live here so the daemon and the one-shot
-//! commands render through literally the same code.
+//! shared JSON emission ([`json`]), parameter resolution ([`params`]),
+//! execution ([`exec`]) and report envelopes ([`report`]) live here so the
+//! daemon and the one-shot commands run and render through literally the
+//! same code.
 
 pub mod cache;
 pub mod client;
 pub mod engine;
+pub mod exec;
 pub mod json;
 pub mod jsonin;
 pub mod params;

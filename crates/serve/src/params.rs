@@ -15,14 +15,16 @@ use glitch_core::verify::{BudgetSpec, CheckSuite, CycleFilter};
 use glitch_core::{AnalysisConfig, DelayKind, DeltaStimulus, EngineKind, SimBaseline};
 use glitch_io::GateLibrary;
 
-/// A rejected parameter. `Usage` marks a malformed value (the CLI appends
-/// its usage text); `Run` marks a value that is well-formed but does not
-/// fit the circuit (unknown net, out-of-range cycle).
+/// A rejected parameter or a failed run. `Usage` marks a malformed value
+/// (the CLI appends its usage text); `Run` marks a value that is
+/// well-formed but does not fit the circuit (unknown net, out-of-range
+/// cycle), or a run of [`crate::exec`] that failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamError {
     /// Malformed parameter value.
     Usage(String),
-    /// Well-formed value rejected against the loaded circuit.
+    /// Well-formed value rejected against the loaded circuit, or a failed
+    /// simulation.
     Run(String),
 }
 
@@ -35,6 +37,13 @@ impl std::fmt::Display for ParamError {
 }
 
 impl std::error::Error for ParamError {}
+
+/// The daemon answers every failure with its one-line message.
+impl From<ParamError> for String {
+    fn from(error: ParamError) -> String {
+        error.to_string()
+    }
+}
 
 fn usage(message: impl Into<String>) -> ParamError {
     ParamError::Usage(message.into())
