@@ -383,7 +383,7 @@ pub fn table3_power_sweep(cycles: u64, ranks: &[usize]) -> ExplorationResult {
         ..AnalysisConfig::default()
     };
     PowerExplorer::new(GlitchAnalyzer::new(config))
-        .explore(&det.netlist, ranks, &buses, &held)
+        .explore(&det.netlist, ranks, &buses, &held, 1)
         .expect("sweep succeeds")
 }
 

@@ -5,7 +5,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use glitch_core::netlist::{DotOptions, Netlist};
+use glitch_core::netlist::{ConeIndex, DotOptions, Netlist};
 use glitch_core::retime::{pipeline_netlist, PipelineOptions};
 use glitch_core::sim::{
     MergeableProbe, Probe, RandomStimulus, SessionReport, SimBaseline, SimOptions, SimSession,
@@ -13,8 +13,8 @@ use glitch_core::sim::{
 };
 use glitch_core::verify::{CheckSuite, Verdict, VerifyReport};
 use glitch_core::{
-    AggregateAnalysis, Analysis, AnalysisConfig, EngineKind, GlitchAnalyzer, IncrementalStats,
-    KernelProgram, PowerExplorer, TextTable,
+    AggregateAnalysis, Analysis, AnalysisConfig, EngineKind, IncrementalStats, KernelProgram,
+    ParallelRunner, TextTable,
 };
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
 use glitch_serve::exec::{self, ExtraProbes, Plan, WorkRecorder};
@@ -416,12 +416,6 @@ fn reject_engine_for(config: &AnalysisConfig, flag: &str) -> Result<(), CliError
     Ok(())
 }
 
-fn analyze_netlist(netlist: &Netlist, config: &AnalysisConfig) -> Result<Analysis, CliError> {
-    GlitchAnalyzer::new(config.clone())
-        .analyze(netlist, &input_buses(netlist), &[])
-        .map_err(|e| run_err(format!("simulation failed: {e}")))
-}
-
 /// The shared [`params::seeds_and_jobs`] resolution (seeds default to 1;
 /// jobs default to `min(seeds * models, hardware threads)`).
 fn seeds_and_jobs(args: &Args, models: usize) -> Result<(usize, usize), CliError> {
@@ -571,11 +565,7 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
     let window = window_option(&args)?;
     let flips = match args.option("flip") {
         Some(spec) => {
-            if seeds > 1 {
-                return Err(CliError::Usage(
-                    "--flip applies to single-seed runs; drop --seeds or --flip".into(),
-                ));
-            }
+            params::single_seed_flips(seeds > 1)?;
             for flag in ["vcd", "wave-csv", "window", "window-csv"] {
                 if args.option(flag).is_some() {
                     return Err(CliError::Usage(format!(
@@ -1034,7 +1024,7 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
     let config = analysis_config(&args, &library)?;
     if let Some(list) = args.option("flip-inputs") {
         reject_engine_for(&config, "flip-inputs")?;
-        return cmd_sweep_flips(&netlist, &path, &args, &config, list, &mut telemetry);
+        return cmd_sweep_flips(&netlist, &path, &args, config, list, &mut telemetry);
     }
     if args.option("flip-cycle").is_some() {
         return Err(CliError::Usage(
@@ -1106,7 +1096,7 @@ fn cmd_sweep_flips(
     netlist: &Netlist,
     path: &str,
     args: &Args,
-    config: &AnalysisConfig,
+    config: AnalysisConfig,
     list: &str,
     telemetry: &mut Telemetry,
 ) -> Result<(), CliError> {
@@ -1163,62 +1153,80 @@ fn cmd_sweep_flips(
     }
     let json = args.flag("json");
 
-    let explorer = PowerExplorer::new(GlitchAnalyzer::new(config.clone()));
-    let (baseline, points) = {
+    // One recorded baseline and one cone index serve every flip; the rows
+    // come back in input order at any worker count.
+    let plan = Plan::new(netlist, config, 1, 1);
+    let (baseline, runs) = {
         let _span = telemetry.span("simulate");
-        explorer
-            .explore_input_sensitivity(netlist, &input_buses(netlist), &[], cycle, &inputs, jobs)
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
+        let (before, baseline) = exec::record_baseline(&plan)?;
+        let index =
+            ConeIndex::build(netlist).map_err(|e| run_err(format!("simulation failed: {e}")))?;
+        let flips: Vec<FlipSpec> = inputs
+            .iter()
+            .map(|&net| FlipSpec {
+                cycle,
+                net,
+                name: netlist.net(net).name().to_string(),
+                value: None,
+            })
+            .collect();
+        // A plan is per thread (its span log is not shared); flips record
+        // no spans of their own.
+        let config = &plan.config;
+        let runs = ParallelRunner::new(jobs)
+            .map(flips.iter().collect(), |_, flip: &FlipSpec| {
+                let plan = Plan::new(netlist, config.clone(), 1, 1);
+                let flip = std::slice::from_ref(flip);
+                exec::flip(
+                    &plan,
+                    &baseline,
+                    flip,
+                    Some(&index),
+                    &mut WorkRecorder::disabled(),
+                )
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        (before, runs)
     };
-    for point in &points {
-        telemetry.work.record_incremental(&point.incremental);
+    let stats: Vec<&IncrementalStats> = runs.iter().map(|run| &run.after.incremental).collect();
+    for run_stats in &stats {
+        telemetry.work.record_incremental(run_stats);
     }
     let base_totals = baseline.activity.totals();
-    // Per-flip means: every point re-runs the same baseline, so the
-    // denominators must stay at one baseline's cost, not `points` times it.
+    // Per-flip means: every flip re-runs the same baseline, so the
+    // denominators must stay at one baseline's cost, not `flips` times it.
     // The dirty-cone peak is a high-water mark, so it maxes instead.
-    let flips = points.len() as u64;
+    let flips = stats.len() as u64;
+    let mean =
+        |field: fn(&IncrementalStats) -> u64| stats.iter().map(|s| field(s)).sum::<u64>() / flips;
     let mean_stats = IncrementalStats {
-        replayed_cycles: points
+        replayed_cycles: mean(|s| s.replayed_cycles),
+        simulated_cycles: mean(|s| s.simulated_cycles),
+        cells_evaluated: mean(|s| s.cells_evaluated),
+        baseline_cell_evals: stats[0].baseline_cell_evals,
+        peak_dirty_cone_nets: stats
             .iter()
-            .map(|p| p.incremental.replayed_cycles)
-            .sum::<u64>()
-            / flips,
-        simulated_cycles: points
-            .iter()
-            .map(|p| p.incremental.simulated_cycles)
-            .sum::<u64>()
-            / flips,
-        cells_evaluated: points
-            .iter()
-            .map(|p| p.incremental.cells_evaluated)
-            .sum::<u64>()
-            / flips,
-        baseline_cell_evals: points[0].incremental.baseline_cell_evals,
-        peak_dirty_cone_nets: points
-            .iter()
-            .map(|p| p.incremental.peak_dirty_cone_nets)
+            .map(|s| s.peak_dirty_cone_nets)
             .max()
             .unwrap_or(0),
-        dff_divergence_reseeds: points
-            .iter()
-            .map(|p| p.incremental.dff_divergence_reseeds)
-            .sum::<u64>()
-            / flips,
+        dff_divergence_reseeds: mean(|s| s.dff_divergence_reseeds),
     };
 
     if json {
-        let rows = json_array(points.iter().map(|p| {
+        let rows = json_array(runs.iter().map(|run| {
+            let (name, _, to) = &run.applied[0];
+            let totals = run.after.analysis.activity.totals();
             JsonObject::new()
-                .str("input", &p.name)
-                .u64("flipped_to", u64::from(p.flipped_to))
-                .u64("useful", p.activity.useful)
-                .u64("useless", p.activity.useless)
-                .u64("glitches", p.activity.glitches())
-                .f64("power_total_w", p.power.total())
+                .str("input", name)
+                .u64("flipped_to", u64::from(*to))
+                .u64("useful", totals.useful)
+                .u64("useless", totals.useless)
+                .u64("glitches", totals.glitches())
+                .f64("power_total_w", run.after.analysis.power.breakdown.total())
                 .raw(
                     "incremental",
-                    &report::incremental_json(&p.incremental).render(),
+                    &report::incremental_json(&run.after.incremental).render(),
                 )
                 .render()
         }));
@@ -1227,7 +1235,7 @@ fn cmd_sweep_flips(
             .str("netlist", netlist.name())
             .u64("flip_cycle", cycle)
             .usize("jobs", jobs)
-            .u64("cycles", config.cycles)
+            .u64("cycles", plan.config.cycles)
             .raw(
                 "baseline",
                 &JsonObject::new()
@@ -1253,8 +1261,8 @@ fn cmd_sweep_flips(
             "input-flip sensitivity sweep of `{}`: {} inputs flipped in cycle \
              {cycle} on {jobs} jobs, one shared baseline of {} cycles",
             netlist.name(),
-            points.len(),
-            config.cycles
+            runs.len(),
+            plan.config.cycles
         );
         println!("per-flip mean {}", incremental_line(&mean_stats));
         println!();
@@ -1266,15 +1274,16 @@ fn cmd_sweep_flips(
             "total (mW)",
             "re-eval %",
         ]);
-        for p in &points {
-            let d_useless = p.activity.useless as i64 - base_totals.useless as i64;
+        for run in &runs {
+            let (name, _, to) = &run.applied[0];
+            let useless = run.after.analysis.activity.totals().useless;
             table.add_row(vec![
-                p.name.clone(),
-                format!("->{}", u8::from(p.flipped_to)),
-                p.activity.useless.to_string(),
-                format!("{d_useless:+}"),
-                format!("{:.3}", p.power.total() * 1e3),
-                format!("{:.1}", p.incremental.evaluated_fraction() * 100.0),
+                name.clone(),
+                format!("->{}", u8::from(*to)),
+                useless.to_string(),
+                format!("{:+}", useless as i64 - base_totals.useless as i64),
+                format!("{:.3}", run.after.analysis.power.breakdown.total() * 1e3),
+                format!("{:.1}", run.after.incremental.evaluated_fraction() * 100.0),
             ]);
         }
         print!("{table}");
@@ -1406,11 +1415,7 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
     }
     let json = args.flag("json");
     if let Some(spec) = args.option("flip") {
-        if args.option("seeds").is_some() {
-            return Err(CliError::Usage(
-                "--flip applies to single-seed runs; drop --seeds or --flip".into(),
-            ));
-        }
+        params::single_seed_flips(args.option("seeds").is_some())?;
         reject_engine_for(&config, "flip")?;
         let flips = params::parse_flips(spec, &netlist)?;
         params::check_flip_cycles(&flips, config.cycles)?;
@@ -1535,8 +1540,13 @@ fn cmd_retime(raw: &[String]) -> Result<(), CliError> {
     let piped = pipeline_netlist(&netlist, ranks, options)
         .map_err(|e| run_err(format!("{path}: cannot retime: {e}")))?;
 
-    let before = analyze_netlist(&netlist, &config)?;
-    let after = analyze_netlist(&piped.netlist, &config)?;
+    let analyze = |netlist: &Netlist| -> Result<Analysis, CliError> {
+        let plan = Plan::new(netlist, config.clone(), 1, 1);
+        let run = exec::analyze(&plan, None, &mut (), &mut WorkRecorder::disabled())?;
+        Ok(run.analysis)
+    };
+    let before = analyze(&netlist)?;
+    let after = analyze(&piped.netlist)?;
 
     let mut table = TextTable::new(vec![
         "circuit",
@@ -1610,13 +1620,7 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
     telemetry.cone_index_phase(&netlist);
     let library = library_for(&args)?;
     let config = analysis_config(&args, &library)?;
-    if config.engine == EngineKind::Kernel {
-        return Err(CliError::Usage(
-            "the kernel engine has no glitch model to score moves with; \
-             use --engine queue or hybrid"
-                .into(),
-        ));
-    }
+    params::reduce_engine(config.engine, "--engine queue or hybrid")?;
     let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
     let moves = glitch_reduce::parse_moves(args.option("moves").unwrap_or_default())
         .map_err(|e| CliError::Usage(e.to_string()))?;

@@ -40,6 +40,23 @@ fn run_stdout(args: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("JSON output is UTF-8")
 }
 
+/// Like [`run_stdout`], but runs from the repository root with a
+/// repo-relative data path, so the pinned `"file"` field does not depend
+/// on where the checkout lives.
+fn run_stdout_at_root(args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_glitch-cli"))
+        .current_dir(format!("{}/../..", env!("CARGO_MANIFEST_DIR")))
+        .args(args)
+        .output()
+        .expect("the binary must spawn");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).expect("JSON output is UTF-8")
+}
+
 fn assert_matches_golden(name: &str, actual: &str) {
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -126,6 +143,56 @@ fn analyze_multi_seed_window_json_matches_golden() {
         "--json",
     ]);
     assert_matches_golden("analyze_seeds_window_counter4.json", &out);
+}
+
+// The engine goldens pin the kernel and hybrid paths on the counter,
+// whose held-state cycles the kernel prepass proves quiet (58 of 300), so
+// the quiet-cycle mask and the `kernel.*` counters are non-trivial.
+
+#[test]
+fn analyze_kernel_engine_json_and_metrics_match_golden() {
+    let out = run_stdout_at_root(&[
+        "analyze",
+        "tests/data/counter4.blif",
+        "--cycles",
+        "300",
+        "--engine",
+        "kernel",
+        "--json",
+        "--metrics-json",
+    ]);
+    assert_matches_golden("analyze_kernel_counter4.json", &out);
+}
+
+#[test]
+fn analyze_hybrid_engine_json_and_metrics_match_golden() {
+    let out = run_stdout_at_root(&[
+        "analyze",
+        "tests/data/counter4.blif",
+        "--cycles",
+        "300",
+        "--engine",
+        "hybrid",
+        "--json",
+        "--metrics-json",
+    ]);
+    assert_matches_golden("analyze_hybrid_counter4.json", &out);
+}
+
+#[test]
+fn sweep_kernel_engine_json_matches_golden() {
+    let out = run_stdout_at_root(&[
+        "sweep",
+        "tests/data/counter4.blif",
+        "--cycles",
+        "300",
+        "--engine",
+        "kernel",
+        "--jobs",
+        "1",
+        "--json",
+    ]);
+    assert_matches_golden("sweep_kernel_counter4.json", &out);
 }
 
 #[test]

@@ -123,7 +123,7 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
 
     // (request line, equivalent one-shot invocation) pairs across every
     // job op, including a multi-seed analyze and a checker suite.
-    let cases: Vec<(String, Vec<&str>)> = vec![
+    let mut cases: Vec<(String, Vec<&str>)> = vec![
         (
             format!(r#"{{"op":"analyze","file":"{counter}","cycles":120}}"#),
             vec!["analyze", &counter, "--cycles", "120", "--json"],
@@ -175,6 +175,41 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
             ],
         ),
     ];
+    // The compiled engines: the daemon reuses its cached kernel program,
+    // the one-shot run compiles its own.
+    for engine in ["kernel", "hybrid"] {
+        cases.push((
+            format!(r#"{{"op":"analyze","file":"{counter}","cycles":300,"engine":"{engine}"}}"#),
+            vec![
+                "analyze", &counter, "--cycles", "300", "--engine", engine, "--json",
+            ],
+        ));
+        cases.push((
+            format!(
+                r#"{{"op":"check","file":"{counter}","cycles":80,"x_init":true,"hazards":true,"engine":"{engine}"}}"#
+            ),
+            vec![
+                "check", &counter, "--cycles", "80", "--x-init", "--hazards", "--engine", engine,
+                "--json",
+            ],
+        ));
+        cases.push((
+            format!(
+                r#"{{"op":"sweep","file":"{counter}","cycles":50,"delays":"unit,zero","engine":"{engine}"}}"#
+            ),
+            vec![
+                "sweep",
+                &counter,
+                "--cycles",
+                "50",
+                "--delays",
+                "unit,zero",
+                "--engine",
+                engine,
+                "--json",
+            ],
+        ));
+    }
 
     let requests: Vec<&str> = cases.iter().map(|(line, _)| line.as_str()).collect();
     let responses = daemon.client(&requests);
@@ -234,6 +269,57 @@ fn stale_fingerprints_and_protocol_errors_are_rejected() {
     );
     assert!(responses[1].starts_with(r#"{"error":"unknown op"#));
     assert!(responses[2].contains(r#""ok":true"#));
+    daemon.shutdown();
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let daemon = Daemon::spawn(&[]);
+    let stream = TcpStream::connect(("127.0.0.1", daemon.port)).expect("connect");
+    // A daemon that kept reading would never answer; fail instead of hang.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("set a read timeout");
+    // 2 MiB without a newline, twice the frame cap. The daemon stops
+    // reading at the cap, so the writer may block or fail; it runs on its
+    // own thread and its outcome does not matter.
+    let mut writing = stream.try_clone().expect("clone the stream");
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..32 {
+            if writing.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut response = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut response)
+        .expect("the daemon answers before closing");
+    assert_eq!(
+        response.trim_end(),
+        r#"{"error":"request line exceeds 1048576 bytes"}"#
+    );
+    let mut rest = Vec::new();
+    (&stream).read_to_end(&mut rest).ok();
+    assert!(
+        rest.is_empty(),
+        "one error line, then the connection closes"
+    );
+    writer.join().expect("the writer thread finishes");
+
+    // A fresh connection is served as usual.
+    let mut fresh = TcpStream::connect(("127.0.0.1", daemon.port)).expect("reconnect");
+    fresh.write_all(b"{\"op\":\"ping\"}\n").expect("send ping");
+    let mut pong = String::new();
+    BufReader::new(&fresh)
+        .read_line(&mut pong)
+        .expect("ping answered");
+    assert_eq!(pong.trim_end(), r#"{"ok":true}"#);
+    drop(fresh);
     daemon.shutdown();
 }
 

@@ -8,10 +8,9 @@ use glitch_activity::{ActivityReport, ActivityTrace};
 use glitch_netlist::{Bus, ConeIndex, NetId, Netlist};
 use glitch_power::{PowerReport, Technology};
 use glitch_sim::{
-    kernel_prepass, run_kernel_jobs, ActivityProbe, AggregateReport, DelayKind, DelayModel,
-    DeltaStimulus, IncrementalSession, IncrementalStats, KernelPrepass, KernelProgram,
-    ParallelRunner, PowerProbe, Probe, RandomStimulus, SessionReport, SimBaseline, SimError,
-    SimJob, SimSession, Spread,
+    kernel_prepass, run_kernel_jobs, ActivityProbe, AggregateReport, DelayKind, DeltaStimulus,
+    IncrementalSession, IncrementalStats, KernelPrepass, KernelProgram, ParallelRunner, PowerProbe,
+    Probe, RandomStimulus, SessionReport, SimBaseline, SimError, SimJob, SimSession, Spread,
 };
 
 /// Which execution backend the multi-seed analysis entry points drive.
@@ -295,7 +294,7 @@ impl AggregateAnalysis {
 }
 
 /// Result of one incremental delta re-analysis
-/// ([`GlitchAnalyzer::analyze_delta`]): the same figures a full
+/// ([`GlitchAnalyzer::analyze_delta_with_index`]): the same figures a full
 /// [`Analysis`] carries — bit-identical to a full re-simulation of the
 /// merged stimulus — plus the incremental work accounting.
 #[derive(Debug, Clone)]
@@ -435,31 +434,10 @@ impl GlitchAnalyzer {
         Ok(Self::analysis(netlist, report))
     }
 
-    /// Same as [`GlitchAnalyzer::analyze`] but with an explicit delay model,
-    /// overriding the configured one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if the netlist is structurally invalid or the
-    /// simulation fails to settle.
-    pub fn analyze_with<'a, D: DelayModel + 'a>(
-        &self,
-        netlist: &'a Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        delay: D,
-    ) -> Result<Analysis, SimError> {
-        let report = self
-            .session(netlist, random_buses, held)
-            .delay_model(delay)
-            .run()?;
-        Ok(Self::analysis(netlist, report))
-    }
-
     /// Like [`GlitchAnalyzer::analyze`], but additionally records a
     /// replayable [`SimBaseline`] of the run — the anchor for
-    /// [`GlitchAnalyzer::analyze_delta`] / [`GlitchAnalyzer::analyze_deltas`]
-    /// re-analyses of *nearby* stimuli (a few changed input bits).
+    /// [`GlitchAnalyzer::analyze_delta_with_index`] re-analyses of
+    /// *nearby* stimuli (a few changed input bits).
     ///
     /// # Errors
     ///
@@ -483,29 +461,16 @@ impl GlitchAnalyzer {
     /// (pinned by the differential oracle in `glitch-sim`); the delay
     /// model and simulator options come from the baseline.
     ///
+    /// `index` is an optional pre-built [`ConeIndex`] to reuse across
+    /// calls; `None` builds one per call. Long-lived callers (the serving
+    /// layer's warm cache, the CLI's input-flip sweep) amortise the index
+    /// build over many deltas this way; the index is deterministic for a
+    /// netlist, so the figures are identical either way.
+    ///
     /// # Errors
     ///
     /// Returns a [`SimError`] for deltas beyond the baseline, overrides of
     /// non-input nets, or any simulation failure in a dirty cycle.
-    pub fn analyze_delta(
-        &self,
-        netlist: &Netlist,
-        baseline: &SimBaseline,
-        delta: &DeltaStimulus,
-    ) -> Result<DeltaAnalysis, SimError> {
-        self.analyze_delta_with_index(netlist, baseline, delta, None)
-    }
-
-    /// [`GlitchAnalyzer::analyze_delta`] with an optional pre-built
-    /// [`ConeIndex`] to reuse across calls. Long-lived callers (the
-    /// serving layer's warm cache, [`GlitchAnalyzer::analyze_deltas`])
-    /// amortise the index build over many deltas this way; the index is
-    /// deterministic for a netlist, so the figures are identical either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// As for [`GlitchAnalyzer::analyze_delta`].
     pub fn analyze_delta_with_index(
         &self,
         netlist: &Netlist,
@@ -531,31 +496,6 @@ impl GlitchAnalyzer {
         })
     }
 
-    /// Re-analyses many *nearby* deltas against one shared baseline,
-    /// fanned across `jobs` worker threads. The fanout/level cone index is
-    /// built once and shared by every job, and results come back in delta
-    /// order — bit-identical at any worker count, in the
-    /// [`GlitchAnalyzer::analyze_seeds`] tradition.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing delta's [`SimError`] in delta order.
-    pub fn analyze_deltas(
-        &self,
-        netlist: &Netlist,
-        baseline: &SimBaseline,
-        deltas: &[DeltaStimulus],
-        jobs: usize,
-    ) -> Result<Vec<DeltaAnalysis>, SimError> {
-        let index = ConeIndex::build(netlist).map_err(SimError::from)?;
-        ParallelRunner::new(jobs)
-            .map(deltas.iter().collect(), |_, delta: &DeltaStimulus| {
-                self.analyze_delta_with_index(netlist, baseline, delta, Some(&index))
-            })
-            .into_iter()
-            .collect()
-    }
-
     /// One shard job per seed, configured like [`GlitchAnalyzer::session`].
     fn job_for<'a>(
         &self,
@@ -577,60 +517,23 @@ impl GlitchAnalyzer {
     /// configured number of cycles, so the aggregate covers
     /// `seeds.len() * config.cycles` cycles in total.
     ///
+    /// The probes built by `extra_probes(seed_index)` ride each seed's
+    /// session. The returned [`SessionReport`]s (one per seed, in seed
+    /// order) have had the standard activity/power/stats probes consumed
+    /// but still carry the extra probes, ready for the caller to take and
+    /// fold (e.g. with [`glitch_sim::MergeableProbe`]).
+    ///
+    /// The configured [`AnalysisConfig::engine`] runs the batch. `program`
+    /// is a precompiled [`KernelProgram`] to reuse under the kernel and
+    /// hybrid engines (the serving layer's program cache amortises the
+    /// compile this way); `None` compiles one when the engine needs it.
+    /// A program is deterministic for a netlist, so the figures are the
+    /// same either way.
+    ///
     /// The reduction is deterministic (seeded shards, folded in seed
     /// order): any worker count produces the same aggregate bit for bit as
-    /// `jobs = 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing seed's [`SimError`] (in seed order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn analyze_seeds(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Result<AggregateAnalysis, SimError> {
-        self.analyze_seeds_with(netlist, random_buses, held, seeds, jobs, &|_| Vec::new())
-            .map(|(analysis, _)| analysis)
-    }
-
-    /// Like [`GlitchAnalyzer::analyze_seeds`], additionally attaching the
-    /// probes built by `extra_probes(seed_index)` to each seed's session.
-    /// The returned [`SessionReport`]s (one per seed, in seed order) have
-    /// had the standard activity/power/stats probes consumed but still
-    /// carry the extra probes, ready for the caller to take and fold (e.g.
-    /// with [`glitch_sim::MergeableProbe`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing seed's [`SimError`] (in seed order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn analyze_seeds_with(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        seeds: &[u64],
-        jobs: usize,
-        extra_probes: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
-    ) -> Result<(AggregateAnalysis, Vec<SessionReport>), SimError> {
-        self.analyze_seeds_compiled(netlist, random_buses, held, seeds, jobs, extra_probes, None)
-    }
-
-    /// [`GlitchAnalyzer::analyze_seeds_with`] with an optional precompiled
-    /// [`KernelProgram`] to reuse. Long-lived callers (the serving layer's
-    /// content-addressed program cache) amortise the one-time compile this
-    /// way; a program is deterministic for a netlist, so the figures are
-    /// identical either way. Ignored under [`EngineKind::Queue`].
+    /// `jobs = 1`, and a single seed reproduces a plain
+    /// [`GlitchAnalyzer::analyze`] run of that seed.
     ///
     /// # Errors
     ///
@@ -642,7 +545,7 @@ impl GlitchAnalyzer {
     /// Panics if `seeds` is empty, or if a supplied `program` was compiled
     /// from a different netlist.
     #[allow(clippy::too_many_arguments)]
-    pub fn analyze_seeds_compiled(
+    pub fn analyze_seeds(
         &self,
         netlist: &Netlist,
         random_buses: &[Bus],
@@ -652,64 +555,19 @@ impl GlitchAnalyzer {
         extra_probes: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
         program: Option<&KernelProgram>,
     ) -> Result<(AggregateAnalysis, Vec<SessionReport>), SimError> {
-        assert!(!seeds.is_empty(), "at least one seed is required");
-        let mut job_list: Vec<SimJob<'_>> = seeds
-            .iter()
-            .map(|&seed| self.job_for(netlist, random_buses, held, seed))
-            .collect();
-        let mut telemetry = None;
-        match self.config.engine {
-            EngineKind::Queue => {}
-            EngineKind::Kernel => {
-                let compiled;
-                let program = match program {
-                    Some(program) => program,
-                    None => {
-                        compiled = KernelProgram::compile(netlist)?;
-                        &compiled
-                    }
-                };
-                let mut reports = run_kernel_jobs(netlist, program, &job_list, extra_probes)?;
-                let aggregate = AggregateReport::reduce(netlist, &job_list, &mut reports);
-                let mut analysis = AggregateAnalysis::from_aggregate(netlist, seeds, aggregate);
-                analysis.kernel = Some(KernelTelemetry {
-                    engine: EngineKind::Kernel,
-                    lanes: job_list.len(),
-                    total_cycles: job_list.len() as u64 * self.config.cycles,
-                    quiet_cycles: 0,
-                    total_pairs: 0,
-                    quiet_pairs: 0,
-                    functional_transitions: analysis.activity.totals().transitions,
-                    functional_cell_evals: program.op_count() as u64
-                        * job_list.len() as u64
-                        * self.config.cycles,
-                    program_ops: program.op_count(),
-                    program_bytes: program.byte_size(),
-                });
-                return Ok((analysis, reports));
-            }
-            EngineKind::Hybrid => {
-                let compiled;
-                let program = match program {
-                    Some(program) => program,
-                    None => {
-                        compiled = KernelProgram::compile(netlist)?;
-                        &compiled
-                    }
-                };
-                let prepass = kernel_prepass(netlist, program, &job_list)?;
-                telemetry = Some(KernelTelemetry::from_prepass(netlist, program, &prepass)?);
-                job_list = job_list
-                    .into_iter()
-                    .enumerate()
-                    .map(|(lane, job)| job.with_quiet_cycles(prepass.quiet_cycles(lane)))
-                    .collect();
-            }
-        }
-        let mut reports = ParallelRunner::new(jobs).run_sessions_with(&job_list, extra_probes)?;
-        let aggregate = AggregateReport::reduce(netlist, &job_list, &mut reports);
-        let mut analysis = AggregateAnalysis::from_aggregate(netlist, seeds, aggregate);
-        analysis.kernel = telemetry;
+        let model = [(netlist.name().to_string(), self.config.delay.clone())];
+        let (mut analyses, reports) = self.run_batch(
+            netlist,
+            random_buses,
+            held,
+            &model,
+            seeds,
+            jobs,
+            self.config.engine,
+            extra_probes,
+            program,
+        )?;
+        let analysis = analyses.pop().expect("one delay model, one aggregate");
         Ok((analysis, reports))
     }
 
@@ -723,43 +581,12 @@ impl GlitchAnalyzer {
     /// model fidelity): every model sees the same seeds, so differences are
     /// purely model-induced.
     ///
-    /// # Errors
-    ///
-    /// Returns the first failing combination's [`SimError`] in batch order
-    /// (delay-major, then seed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels_and_delays` or `seeds` is empty.
-    pub fn sweep_delays(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        labels_and_delays: &[(String, DelayKind)],
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Result<Vec<DelaySweepPoint>, SimError> {
-        self.sweep_delays_compiled(
-            netlist,
-            random_buses,
-            held,
-            labels_and_delays,
-            seeds,
-            jobs,
-            None,
-        )
-    }
-
-    /// [`GlitchAnalyzer::sweep_delays`] with an optional precompiled
-    /// [`KernelProgram`] to reuse (see
-    /// [`GlitchAnalyzer::analyze_seeds_compiled`]).
-    ///
-    /// Under a non-queue engine the kernel prepass runs **once** per seed
-    /// batch — quiet cycles are a functional property of the stimulus, so
-    /// the same masks prune every delay model's chunk. A sweep exists to
-    /// compare delay models, which the delay-less kernel cannot evaluate,
-    /// so [`EngineKind::Kernel`] degrades to the hybrid here.
+    /// `program` is reused as in [`GlitchAnalyzer::analyze_seeds`]. Under a
+    /// non-queue engine the kernel prepass runs **once** per seed batch —
+    /// quiet cycles are a functional property of the stimulus, so the same
+    /// masks prune every delay model's chunk. A sweep exists to compare
+    /// delay models, which the delay-less kernel cannot evaluate, so
+    /// [`EngineKind::Kernel`] degrades to the hybrid here.
     ///
     /// # Errors
     ///
@@ -772,7 +599,7 @@ impl GlitchAnalyzer {
     /// Panics if `labels_and_delays` or `seeds` is empty, or if a supplied
     /// `program` was compiled from a different netlist.
     #[allow(clippy::too_many_arguments)]
-    pub fn sweep_delays_compiled(
+    pub fn sweep_delays(
         &self,
         netlist: &Netlist,
         random_buses: &[Bus],
@@ -786,57 +613,121 @@ impl GlitchAnalyzer {
             !labels_and_delays.is_empty(),
             "at least one delay model is required"
         );
-        assert!(!seeds.is_empty(), "at least one seed is required");
-        let mut job_list: Vec<SimJob<'_>> = labels_and_delays
+        let engine = match self.config.engine {
+            EngineKind::Kernel => EngineKind::Hybrid,
+            engine => engine,
+        };
+        let (analyses, _) = self.run_batch(
+            netlist,
+            random_buses,
+            held,
+            labels_and_delays,
+            seeds,
+            jobs,
+            engine,
+            &|_| Vec::new(),
+            program,
+        )?;
+        Ok(labels_and_delays
             .iter()
-            .flat_map(|(label, delay)| {
-                seeds.iter().map(move |&seed| {
-                    self.job_for(netlist, random_buses, held, seed)
-                        .with_delay(delay.clone())
-                        .with_label(label.clone())
-                })
-            })
-            .collect();
-        let mut telemetry = None;
-        if self.config.engine != EngineKind::Queue {
-            let compiled;
-            let program = match program {
-                Some(program) => program,
-                None => {
-                    compiled = KernelProgram::compile(netlist)?;
-                    &compiled
-                }
-            };
-            let base: Vec<SimJob<'_>> = seeds
-                .iter()
-                .map(|&seed| self.job_for(netlist, random_buses, held, seed))
-                .collect();
-            let prepass = kernel_prepass(netlist, program, &base)?;
-            telemetry = Some(KernelTelemetry::from_prepass(netlist, program, &prepass)?);
-            // Delay-major batch: job i drives seed i % seeds.len(), and the
-            // kernel ignores delay, so one mask set prunes every chunk.
-            job_list = job_list
-                .into_iter()
-                .enumerate()
-                .map(|(i, job)| job.with_quiet_cycles(prepass.quiet_cycles(i % seeds.len())))
-                .collect();
-        }
-        let reports = ParallelRunner::new(jobs).run_sessions(&job_list)?;
-        // Chunk the flat batch back into one aggregate per delay model.
-        let mut points = Vec::with_capacity(labels_and_delays.len());
-        let mut reports = reports.into_iter();
-        for (chunk, (label, delay)) in job_list.chunks(seeds.len()).zip(labels_and_delays) {
-            let mut chunk_reports: Vec<_> = reports.by_ref().take(seeds.len()).collect();
-            let aggregate = AggregateReport::reduce(netlist, chunk, &mut chunk_reports);
-            let mut analysis = AggregateAnalysis::from_aggregate(netlist, seeds, aggregate);
-            analysis.kernel = telemetry.clone();
-            points.push(DelaySweepPoint {
+            .zip(analyses)
+            .map(|((label, delay), analysis)| DelaySweepPoint {
                 label: label.clone(),
                 delay: delay.clone(),
                 analysis,
-            });
+            })
+            .collect())
+    }
+
+    /// The one engine dispatch behind every multi-seed entry point: one
+    /// [`SimJob`] per `(delay model, seed)`, delay-major, run by the
+    /// compiled kernel ([`EngineKind::Kernel`]), by the queue after a
+    /// kernel prepass has marked the provably quiet cycles
+    /// ([`EngineKind::Hybrid`]), or by the queue alone
+    /// ([`EngineKind::Queue`]); then one aggregate per delay model, in
+    /// model order. The reports come back in batch order.
+    #[allow(clippy::too_many_arguments)]
+    fn run_batch(
+        &self,
+        netlist: &Netlist,
+        random_buses: &[Bus],
+        held: &[(NetId, bool)],
+        models: &[(String, DelayKind)],
+        seeds: &[u64],
+        jobs: usize,
+        engine: EngineKind,
+        extra_probes: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
+        program: Option<&KernelProgram>,
+    ) -> Result<(Vec<AggregateAnalysis>, Vec<SessionReport>), SimError> {
+        assert!(!seeds.is_empty(), "at least one seed is required");
+        let compiled;
+        let program = match (engine, program) {
+            (EngineKind::Queue, _) => None,
+            (_, Some(program)) => Some(program),
+            (_, None) => {
+                compiled = KernelProgram::compile(netlist)?;
+                Some(&compiled)
+            }
+        };
+        let lanes: Vec<SimJob<'_>> = seeds
+            .iter()
+            .map(|&seed| self.job_for(netlist, random_buses, held, seed))
+            .collect();
+        // Quiet cycles are a functional property of the stimulus, so one
+        // prepass over the seed lanes masks every delay model's chunk.
+        let mut prepass = None;
+        let mut telemetry = None;
+        if let (EngineKind::Hybrid, Some(program)) = (engine, program) {
+            let pass = kernel_prepass(netlist, program, &lanes)?;
+            telemetry = Some(KernelTelemetry::from_prepass(netlist, program, &pass)?);
+            prepass = Some(pass);
         }
-        Ok(points)
+        let prepass = prepass.as_ref();
+        let job_list: Vec<SimJob<'_>> = models
+            .iter()
+            .flat_map(|(label, delay)| {
+                lanes.iter().enumerate().map(move |(lane, job)| {
+                    let job = job.clone().with_delay(delay.clone()).with_label(label);
+                    match prepass {
+                        Some(prepass) => job.with_quiet_cycles(prepass.quiet_cycles(lane)),
+                        None => job,
+                    }
+                })
+            })
+            .collect();
+        let mut reports = match (engine, program) {
+            (EngineKind::Kernel, Some(program)) => {
+                run_kernel_jobs(netlist, program, &job_list, extra_probes)?
+            }
+            _ => ParallelRunner::new(jobs).run_sessions_with(&job_list, extra_probes)?,
+        };
+        let analyses = job_list
+            .chunks(seeds.len())
+            .zip(reports.chunks_mut(seeds.len()))
+            .map(|(chunk, chunk_reports)| {
+                let aggregate = AggregateReport::reduce(netlist, chunk, chunk_reports);
+                let mut analysis = AggregateAnalysis::from_aggregate(netlist, seeds, aggregate);
+                analysis.kernel = match (engine, program) {
+                    (EngineKind::Kernel, Some(program)) => Some(KernelTelemetry {
+                        engine,
+                        lanes: chunk.len(),
+                        total_cycles: chunk.len() as u64 * self.config.cycles,
+                        quiet_cycles: 0,
+                        total_pairs: 0,
+                        quiet_pairs: 0,
+                        functional_transitions: analysis.activity.totals().transitions,
+                        functional_cell_evals: program.op_count() as u64
+                            * chunk.len() as u64
+                            * self.config.cycles,
+                        program_ops: program.op_count(),
+                        program_bytes: program.byte_size(),
+                    }),
+                    _ => telemetry.clone(),
+                };
+                analysis
+            })
+            .collect();
+        Ok((analyses, reports))
     }
 }
 
@@ -945,11 +836,29 @@ mod tests {
         let held = [(adder.cin, false)];
         let seeds = [11u64, 22, 33, 44];
         let parallel = analyzer
-            .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 4)
-            .unwrap();
+            .analyze_seeds(
+                &adder.netlist,
+                &buses,
+                &held,
+                &seeds,
+                4,
+                &|_| Vec::new(),
+                None,
+            )
+            .unwrap()
+            .0;
         let serial = analyzer
-            .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 1)
-            .unwrap();
+            .analyze_seeds(
+                &adder.netlist,
+                &buses,
+                &held,
+                &seeds,
+                1,
+                &|_| Vec::new(),
+                None,
+            )
+            .unwrap()
+            .0;
         assert_eq!(parallel.aggregate, serial.aggregate);
         assert_eq!(parallel.trace(), serial.trace());
         assert_eq!(parallel.power, serial.power);
@@ -976,6 +885,37 @@ mod tests {
     }
 
     #[test]
+    fn a_single_seed_batch_reproduces_a_plain_run_under_queue_and_hybrid() {
+        let adder = RippleCarryAdder::new(6, AdderStyle::CompoundCell);
+        let buses = [adder.a.clone(), adder.b.clone()];
+        let held = [(adder.cin, false)];
+        for engine in [EngineKind::Queue, EngineKind::Hybrid] {
+            let analyzer = GlitchAnalyzer::new(AnalysisConfig {
+                cycles: 70,
+                engine,
+                ..Default::default()
+            });
+            let plain = analyzer.analyze(&adder.netlist, &buses, &held).unwrap();
+            let seed = analyzer.config().seed;
+            let (batch, reports) = analyzer
+                .analyze_seeds(
+                    &adder.netlist,
+                    &buses,
+                    &held,
+                    &[seed],
+                    1,
+                    &|_| Vec::new(),
+                    None,
+                )
+                .unwrap();
+            assert_eq!(batch.trace(), &plain.trace, "{engine}");
+            assert_eq!(batch.power, plain.power, "{engine}");
+            assert_eq!(reports[0].cycles(), plain.cycles, "{engine}");
+            assert_eq!(batch.kernel.is_some(), engine == EngineKind::Hybrid);
+        }
+    }
+
+    #[test]
     fn delay_sweep_compares_models_on_identical_seeds() {
         let adder = RippleCarryAdder::new(6, AdderStyle::CompoundCell);
         let analyzer = GlitchAnalyzer::new(AnalysisConfig {
@@ -989,7 +929,7 @@ mod tests {
             ("zero".to_string(), DelayKind::Zero),
         ];
         let points = analyzer
-            .sweep_delays(&adder.netlist, &buses, &held, &models, &[5, 6, 7], 3)
+            .sweep_delays(&adder.netlist, &buses, &held, &models, &[5, 6, 7], 3, None)
             .unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].label, "unit");
@@ -1021,7 +961,7 @@ mod tests {
         assert!(baseline.total_cell_evals() > 0);
 
         let replay = analyzer
-            .analyze_delta(&adder.netlist, &baseline, &DeltaStimulus::new())
+            .analyze_delta_with_index(&adder.netlist, &baseline, &DeltaStimulus::new(), None)
             .unwrap();
         assert_eq!(replay.incremental.replayed_cycles, 120);
         assert_eq!(replay.incremental.cells_evaluated, 0);
@@ -1063,7 +1003,7 @@ mod tests {
         let full = GlitchAnalyzer::analysis(&adder.netlist, full_report);
 
         let incremental = analyzer
-            .analyze_delta(&adder.netlist, &baseline, &delta)
+            .analyze_delta_with_index(&adder.netlist, &baseline, &delta, None)
             .unwrap();
         assert_eq!(incremental.analysis.trace, full.trace);
         assert_eq!(incremental.analysis.power, full.power);
@@ -1079,12 +1019,16 @@ mod tests {
                 DeltaStimulus::new().set(20, net, to)
             })
             .collect();
-        let parallel = analyzer
-            .analyze_deltas(&adder.netlist, &baseline, &deltas, 4)
-            .unwrap();
-        let serial = analyzer
-            .analyze_deltas(&adder.netlist, &baseline, &deltas, 1)
-            .unwrap();
+        let index = ConeIndex::build(&adder.netlist).unwrap();
+        let fan_out = |jobs: usize| -> Vec<DeltaAnalysis> {
+            ParallelRunner::new(jobs).map(deltas.iter().collect(), |_, delta: &DeltaStimulus| {
+                analyzer
+                    .analyze_delta_with_index(&adder.netlist, &baseline, delta, Some(&index))
+                    .unwrap()
+            })
+        };
+        let parallel = fan_out(4);
+        let serial = fan_out(1);
         assert_eq!(parallel.len(), 4);
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.analysis.trace, s.analysis.trace);
@@ -1093,7 +1037,7 @@ mod tests {
         }
         for (p, delta) in parallel.iter().zip(&deltas) {
             let single = analyzer
-                .analyze_delta(&adder.netlist, &baseline, delta)
+                .analyze_delta_with_index(&adder.netlist, &baseline, delta, None)
                 .unwrap();
             assert_eq!(p.analysis.trace, single.analysis.trace);
             assert_eq!(p.incremental, single.incremental);
@@ -1120,15 +1064,33 @@ mod tests {
             cycles: 60,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 2)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            2,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         let hybrid = GlitchAnalyzer::new(AnalysisConfig {
             cycles: 60,
             engine: EngineKind::Hybrid,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 2)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            2,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         assert_eq!(hybrid.aggregate, queue.aggregate);
         assert_eq!(hybrid.trace(), queue.trace());
         assert_eq!(hybrid.power, queue.power);
@@ -1155,15 +1117,17 @@ mod tests {
             cycles: 20,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1, &|_| Vec::new(), None)
+        .unwrap()
+        .0;
         let hybrid = GlitchAnalyzer::new(AnalysisConfig {
             cycles: 20,
             engine: EngineKind::Hybrid,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1, &|_| Vec::new(), None)
+        .unwrap()
+        .0;
         assert_eq!(hybrid.aggregate, queue.aggregate);
         let telemetry = hybrid.kernel.unwrap();
         // A combinational circuit under constant inputs is quiet in every
@@ -1183,8 +1147,17 @@ mod tests {
             delay: DelayKind::Zero,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            1,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         // The kernel ignores the configured delay model: semantics are
         // functional, i.e. zero-delay.
         let kernel = GlitchAnalyzer::new(AnalysisConfig {
@@ -1193,8 +1166,17 @@ mod tests {
             engine: EngineKind::Kernel,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            1,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         assert_eq!(kernel.trace(), zero_queue.trace());
         assert_eq!(kernel.power, zero_queue.power);
         assert_eq!(
@@ -1220,7 +1202,7 @@ mod tests {
             cycles: 40,
             ..Default::default()
         })
-        .sweep_delays(&adder.netlist, &buses, &held, &models, &seeds, 3)
+        .sweep_delays(&adder.netlist, &buses, &held, &models, &seeds, 3, None)
         .unwrap();
         // `kernel` degrades to the hybrid for sweeps: the comparison under
         // test is between delay models, which need the queue.
@@ -1230,7 +1212,7 @@ mod tests {
                 engine,
                 ..Default::default()
             })
-            .sweep_delays(&adder.netlist, &buses, &held, &models, &seeds, 3)
+            .sweep_delays(&adder.netlist, &buses, &held, &models, &seeds, 3, None)
             .unwrap();
             assert_eq!(swept.len(), queue.len());
             for (h, q) in swept.iter().zip(&queue) {
@@ -1253,9 +1235,12 @@ mod tests {
         });
         let buses = [adder.a.clone(), adder.b.clone()];
         let held = [(adder.cin, false)];
-        let zero = analyzer
-            .analyze_with(&adder.netlist, &buses, &held, glitch_sim::ZeroDelay)
+        let report = analyzer
+            .session(&adder.netlist, &buses, &held)
+            .delay_model(glitch_sim::ZeroDelay)
+            .run()
             .unwrap();
+        let zero = GlitchAnalyzer::analysis(&adder.netlist, report);
         assert_eq!(zero.activity.totals().useless, 0);
     }
 }

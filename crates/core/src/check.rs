@@ -3,8 +3,8 @@
 //! multi-seed parallel, baseline-recording, or incremental.
 //!
 //! Checking composes with the existing execution layers rather than
-//! duplicating them: [`GlitchAnalyzer::check_seeds`] rides the sharded
-//! parallel runner (one fresh checker set per seed, folded in seed
+//! duplicating them: [`GlitchAnalyzer::check_seeds_compiled`] rides the
+//! multi-seed batch runner (one fresh checker set per seed, folded in seed
 //! order, so the verdict is bit-identical at any `--jobs` count), and
 //! [`GlitchAnalyzer::check_delta`] rides the incremental layer (checkers
 //! re-run only on dirty cycles and replay the recorded stream verbatim on
@@ -20,7 +20,7 @@ use glitch_verify::{CheckSuite, CheckerProbe, VerifyReport};
 
 use crate::analyzer::{AggregateAnalysis, Analysis, GlitchAnalyzer};
 
-/// Result of a multi-seed [`GlitchAnalyzer::check_seeds`] run: the merged
+/// Result of a multi-seed [`GlitchAnalyzer::check_seeds_compiled`] run: the merged
 /// verification report plus the standard multi-seed analysis (the checkers
 /// ride the same sessions, so both come from one simulation pass per
 /// seed).
@@ -54,32 +54,10 @@ impl GlitchAnalyzer {
     /// threads — and folds the per-seed checkers in seed order. The
     /// configured [`crate::AnalysisConfig::options`] select the reset /
     /// X-evaluation policy ([`glitch_sim::SimOptions::x_init`] for
-    /// uninitialised-state checking).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing seed's [`SimError`] (in seed order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn check_seeds(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        suite: &CheckSuite,
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Result<CheckAnalysis, SimError> {
-        self.check_seeds_compiled(netlist, random_buses, held, suite, seeds, jobs, None)
-    }
-
-    /// [`GlitchAnalyzer::check_seeds`] with an optional precompiled
-    /// [`glitch_sim::KernelProgram`] to reuse (see
-    /// [`GlitchAnalyzer::analyze_seeds_compiled`]); the checkers ride
-    /// whichever engine [`crate::AnalysisConfig::engine`] selects, and the
-    /// hybrid verdict is bit-identical to the queue one.
+    /// uninitialised-state checking). The checkers ride whichever engine
+    /// [`crate::AnalysisConfig::engine`] selects (the hybrid verdict is
+    /// bit-identical to the queue one), and `program` is reused as in
+    /// [`GlitchAnalyzer::analyze_seeds`].
     ///
     /// # Errors
     ///
@@ -101,15 +79,8 @@ impl GlitchAnalyzer {
         program: Option<&glitch_sim::KernelProgram>,
     ) -> Result<CheckAnalysis, SimError> {
         let factory = |_seed: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(suite.build())] };
-        let (analysis, mut reports) = self.analyze_seeds_compiled(
-            netlist,
-            random_buses,
-            held,
-            seeds,
-            jobs,
-            &factory,
-            program,
-        )?;
+        let (analysis, mut reports) =
+            self.analyze_seeds(netlist, random_buses, held, seeds, jobs, &factory, program)?;
         let mut merged = CheckerProbe::default();
         for report in &mut reports {
             let probe = report
@@ -241,13 +212,13 @@ mod tests {
         let suite = full_suite(&nl);
         let seeds = [7u64, 8, 9, 10];
         let serial = analyzer
-            .check_seeds(&nl, &buses, &[], &suite, &seeds, 1)
+            .check_seeds_compiled(&nl, &buses, &[], &suite, &seeds, 1, None)
             .unwrap();
         assert!(!serial.report.passed(), "the uninitialised q reaches y");
         assert_eq!(serial.report.failed_checkers(), 1);
         for jobs in [2, 4, 8] {
             let parallel = analyzer
-                .check_seeds(&nl, &buses, &[], &suite, &seeds, jobs)
+                .check_seeds_compiled(&nl, &buses, &[], &suite, &seeds, jobs, None)
                 .unwrap();
             assert_eq!(parallel.report, serial.report, "jobs={jobs}");
             assert_eq!(parallel.analysis.aggregate, serial.analysis.aggregate);

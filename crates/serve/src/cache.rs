@@ -811,7 +811,7 @@ mod tests {
         };
         let analyzer = GlitchAnalyzer::new(config);
         let delta = analyzer
-            .analyze_delta(netlist, baseline, &DeltaStimulus::new())
+            .analyze_delta_with_index(netlist, baseline, &DeltaStimulus::new(), None)
             .map_err(|e| e.to_string())?;
         Ok(delta.analysis)
     }

@@ -673,9 +673,7 @@ impl Engine {
     ) -> Result<String, String> {
         let config = Self::config(job, library)?;
         let (seeds, _jobs) = params::seeds_and_jobs(job.seeds, job.jobs, 1)?;
-        if seeds > 1 {
-            return Err("--flip applies to single-seed runs; drop --seeds or --flip".into());
-        }
+        params::single_seed_flips(seeds > 1)?;
         let netlist = circuit.netlist();
         let spec = job.flips.as_deref().unwrap_or_default();
         let flips = params::parse_flips(spec, netlist)?;
@@ -756,9 +754,7 @@ impl Engine {
             job.stable.as_deref(),
         )?;
         if let Some(spec) = job.flips.as_deref() {
-            if job.seeds.is_some() {
-                return Err("--flip applies to single-seed runs; drop --seeds or --flip".into());
-            }
+            params::single_seed_flips(job.seeds.is_some())?;
             if config.engine != EngineKind::Queue {
                 return Err(
                     "`flips` rides the incremental queue replay; drop `engine` or `flips`".into(),
@@ -835,13 +831,7 @@ impl Engine {
         interim: Option<&(dyn Fn(String) + Sync)>,
     ) -> Result<String, String> {
         let config = Self::config(job, library)?;
-        if config.engine == EngineKind::Kernel {
-            return Err(
-                "the kernel engine has no glitch model to score moves with; \
-                 use engine `queue` or `hybrid`"
-                    .into(),
-            );
-        }
+        params::reduce_engine(config.engine, "engine `queue` or `hybrid`")?;
         let (seeds, jobs) = params::seeds_and_jobs(job.seeds, job.jobs, 1)?;
         let moves = glitch_reduce::parse_moves(job.moves.as_deref().unwrap_or_default())
             .map_err(|e| e.to_string())?;

@@ -16,14 +16,12 @@
 //! [`ParamError::Usage`] for a duplicate flip.
 
 use glitch_core::netlist::{Bus, ConeIndex, Netlist};
-use glitch_core::sim::{
-    kernel_prepass, run_kernel_jobs, MetricsProbe, Probe, RandomStimulus, SessionReport, SimJob,
-};
+use glitch_core::sim::{MetricsProbe, Probe, RandomStimulus, SessionReport};
 use glitch_core::verify::{CheckSuite, VerifyReport};
 use glitch_core::{
     AggregateAnalysis, AggregateReport, Analysis, AnalysisConfig, CheckAnalysis, DelayKind,
-    DelaySweepPoint, DeltaAnalysis, DeltaCheck, DeltaStimulus, EngineKind, GlitchAnalyzer,
-    IncrementalStats, KernelProgram, KernelTelemetry, ShardSummary, SimBaseline,
+    DelaySweepPoint, DeltaAnalysis, DeltaCheck, DeltaStimulus, GlitchAnalyzer, IncrementalStats,
+    KernelProgram, KernelTelemetry, ShardSummary, SimBaseline,
 };
 use glitch_obs::{MetricsRegistry, Span, SpanLog};
 use glitch_reduce::{ProgressSink, ReduceOptions, ReduceReport, Reducer};
@@ -95,16 +93,6 @@ impl<'a> Plan<'a> {
 
     fn seed_list(&self) -> Vec<u64> {
         params::stimulus_seeds(self.config.seed, self.seeds)
-    }
-
-    /// The single-lane [`SimJob`] mirroring [`GlitchAnalyzer::session`]'s
-    /// stimulus, for feeding the compiled kernel on single-seed runs.
-    fn kernel_job(&self) -> SimJob<'a> {
-        let config = &self.config;
-        SimJob::new(self.netlist, self.buses(), config.cycles, config.seed)
-            .with_delay(config.delay.clone())
-            .with_power(config.technology, config.frequency)
-            .with_options(config.options)
     }
 }
 
@@ -296,75 +284,72 @@ pub struct SingleRun {
     pub cell_evals: u64,
 }
 
-/// Single-seed `analyze`: one session, one simulation pass. `program` is
-/// required under the kernel and hybrid engines.
+/// Runs `seeds` through the one engine dispatch,
+/// [`GlitchAnalyzer::analyze_seeds`], with the caller's probes (plus a
+/// metrics probe when recording) on every session, and records the
+/// kernel telemetry. `program` is compiled there when the engine needs
+/// one and none is given.
+fn simulate(
+    plan: &Plan<'_>,
+    seeds: &[u64],
+    program: Option<&KernelProgram>,
+    extra: &dyn ExtraProbes,
+    work: &mut WorkRecorder,
+) -> Result<(AggregateAnalysis, Vec<SessionReport>), ParamError> {
+    let factory = probes_with_metrics(extra, work.enabled());
+    let (aggregate, reports) = {
+        let _span = plan.span("simulate");
+        plan.analyzer()
+            .analyze_seeds(
+                plan.netlist,
+                &plan.buses(),
+                &[],
+                seeds,
+                plan.jobs,
+                &factory,
+                program,
+            )
+            .map_err(|e| failed("simulation", e))?
+    };
+    if let Some(kernel) = &aggregate.kernel {
+        work.record_kernel(kernel);
+    }
+    Ok((aggregate, reports))
+}
+
+/// Hands every finished session to the caller's probes and to the
+/// recorder — in seed order, the `--jobs`-invariance discipline.
+fn harvest(reports: &mut [SessionReport], extra: &mut dyn ExtraProbes, work: &mut WorkRecorder) {
+    for report in reports {
+        extra.harvest(report);
+        work.absorb_session(report);
+    }
+}
+
+/// Single-seed `analyze`: one session, one simulation pass — the
+/// one-seed batch of [`analyze_seeds`] under any engine (a lone shard
+/// keeps its own run-end power report).
 pub fn analyze(
     plan: &Plan<'_>,
     program: Option<&KernelProgram>,
     extra: &mut dyn ExtraProbes,
     work: &mut WorkRecorder,
 ) -> Result<SingleRun, ParamError> {
-    let (netlist, config) = (plan.netlist, &plan.config);
-    let mut report = {
-        let factory = probes_with_metrics(&*extra, work.enabled());
-        if config.engine == EngineKind::Kernel {
-            let program = program.expect("compiled for the kernel engine");
-            let job = plan.kernel_job();
-            let _span = plan.span("simulate");
-            run_kernel_jobs(netlist, program, std::slice::from_ref(&job), &factory)
-                .map_err(|e| failed("simulation", e))?
-                .into_iter()
-                .next()
-                .expect("one job in, one report out")
-        } else {
-            let mut session = plan.analyzer().session(netlist, &plan.buses(), &[]);
-            for probe in factory(0) {
-                session = session.boxed_probe(probe);
-            }
-            if let (EngineKind::Hybrid, Some(program)) = (config.engine, program) {
-                // Hybrid: one functional kernel pass marks the provably quiet
-                // cycles; the queue replays those and settles only the rest.
-                let job = plan.kernel_job();
-                let prepass = {
-                    let _span = plan.span("kernel-prepass");
-                    kernel_prepass(netlist, program, std::slice::from_ref(&job))
-                        .map_err(|e| failed("kernel prepass", e))?
-                };
-                if work.enabled() {
-                    let kernel = KernelTelemetry::from_prepass(netlist, program, &prepass)
-                        .map_err(|e| failed("kernel prepass", e))?;
-                    work.record_kernel(&kernel);
-                }
-                session = session.quiet_cycles(prepass.quiet_cycles(0));
-            }
-            let _span = plan.span("simulate");
-            session.run().map_err(|e| failed("simulation", e))?
-        }
-    };
-    work.absorb_session(&mut report);
-    extra.harvest(&mut report);
-    let run = SingleRun {
+    let (aggregate, mut reports) = simulate(plan, &[plan.config.seed], program, &*extra, work)?;
+    harvest(&mut reports, extra, work);
+    let report = &reports[0];
+    Ok(SingleRun {
         passes: report.passes(),
         events: report.total_events(),
         max_settle: report.max_settle_time(),
         cell_evals: report.total_cell_evals(),
-        analysis: GlitchAnalyzer::analysis(netlist, report),
-    };
-    if let (EngineKind::Kernel, Some(program)) = (config.engine, program) {
-        work.record_kernel(&KernelTelemetry {
-            engine: EngineKind::Kernel,
-            lanes: 1,
-            total_cycles: config.cycles,
-            quiet_cycles: 0,
-            total_pairs: 0,
-            quiet_pairs: 0,
-            functional_transitions: run.analysis.activity.totals().transitions,
-            functional_cell_evals: program.op_count() as u64 * config.cycles,
-            program_ops: program.op_count(),
-            program_bytes: program.byte_size(),
-        });
-    }
-    Ok(run)
+        analysis: Analysis {
+            trace: aggregate.trace().clone(),
+            cycles: report.cycles(),
+            activity: aggregate.activity,
+            power: aggregate.power,
+        },
+    })
 }
 
 /// Multi-seed `analyze`: one session per seed fanned across the worker
@@ -375,33 +360,11 @@ pub fn analyze_seeds(
     extra: &mut dyn ExtraProbes,
     work: &mut WorkRecorder,
 ) -> Result<AggregateAnalysis, ParamError> {
-    let netlist = plan.netlist;
     let batch_start = plan.now_micros();
-    let (aggregate, mut reports) = {
-        let factory = probes_with_metrics(&*extra, work.enabled());
-        let _span = plan.span("simulate");
-        plan.analyzer()
-            .analyze_seeds_compiled(
-                netlist,
-                &plan.buses(),
-                &[],
-                &plan.seed_list(),
-                plan.jobs,
-                &factory,
-                program,
-            )
-            .map_err(|e| failed("simulation", e))?
-    };
+    let (aggregate, mut reports) = simulate(plan, &plan.seed_list(), program, &*extra, work)?;
     plan.shard_spans(batch_start, aggregate.aggregate.shards());
-    if let Some(kernel) = &aggregate.kernel {
-        work.record_kernel(kernel);
-    }
-    // Seed order is the `--jobs`-invariance discipline.
     let _span = plan.span("merge");
-    for report in &mut reports {
-        extra.harvest(report);
-        work.absorb_session(report);
-    }
+    harvest(&mut reports, extra, work);
     Ok(aggregate)
 }
 
@@ -465,7 +428,7 @@ pub fn record_baseline(plan: &Plan<'_>) -> Result<(Analysis, SimBaseline), Param
 /// through fresh probes: O(transitions), zero cell evaluations.
 pub fn replay_baseline(plan: &Plan<'_>, baseline: &SimBaseline) -> Result<Analysis, ParamError> {
     plan.analyzer()
-        .analyze_delta(plan.netlist, baseline, &DeltaStimulus::new())
+        .analyze_delta_with_index(plan.netlist, baseline, &DeltaStimulus::new(), None)
         .map(|delta| delta.analysis)
         .map_err(|e| failed("baseline replay", e))
 }
@@ -599,7 +562,7 @@ pub fn sweep(
     let points = {
         let _span = plan.span("simulate");
         plan.analyzer()
-            .sweep_delays_compiled(
+            .sweep_delays(
                 netlist,
                 &plan.buses(),
                 &[],

@@ -219,6 +219,38 @@ pub fn seeds_and_jobs(
     Ok((seeds, jobs))
 }
 
+/// Flips re-simulate one recorded stimulus, so they do not combine with a
+/// seed batch. Both front ends reject the combination with this message.
+///
+/// # Errors
+///
+/// Returns [`ParamError::Usage`] when `multi_seed` is set.
+pub fn single_seed_flips(multi_seed: bool) -> Result<(), ParamError> {
+    if multi_seed {
+        return Err(usage(
+            "--flip applies to single-seed runs; drop --seeds or --flip",
+        ));
+    }
+    Ok(())
+}
+
+/// `reduce` scores moves by their glitch power, which the delay-less
+/// kernel engine cannot model. `alternatives` names the other engines the
+/// way the caller spells its engine option. Checked before any other
+/// `reduce` parameter, in both front ends.
+///
+/// # Errors
+///
+/// Returns [`ParamError::Usage`] for [`EngineKind::Kernel`].
+pub fn reduce_engine(engine: EngineKind, alternatives: &str) -> Result<(), ParamError> {
+    if engine == EngineKind::Kernel {
+        return Err(usage(format!(
+            "the kernel engine has no glitch model to score moves with; use {alternatives}"
+        )));
+    }
+    Ok(())
+}
+
 /// One parsed flip entry: `cycle:net` (invert the baseline value) or
 /// `cycle:net=0|1` (force a value).
 pub struct FlipSpec {

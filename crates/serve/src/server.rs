@@ -15,7 +15,7 @@
 //! trace and removes the baseline spill directory.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -332,6 +332,12 @@ pub fn run_server(config: &ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
+/// The longest request line the daemon reads, in bytes (newline
+/// excluded). A client that sends more without a newline gets one error
+/// line and is disconnected, so a frame can never grow daemon memory
+/// without limit.
+const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// Reads request lines from one client until EOF or shutdown, answering
 /// each with exactly one final response line (preceded by interim
 /// progress lines for streaming jobs).
@@ -357,8 +363,10 @@ fn serve_connection(
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        // `read_line` appends, so a partial line survives timeout retries.
-        match reader.read_line(&mut line) {
+        // `read_line` appends, so a partial line survives timeout retries;
+        // the `take` stops it one byte past the frame cap.
+        let room = (MAX_FRAME_BYTES + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut line) {
             Ok(0) => return,
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -368,6 +376,22 @@ fn serve_connection(
                 continue;
             }
             Err(_) => return,
+        }
+        if line.len() > MAX_FRAME_BYTES && !line.ends_with('\n') {
+            engine.record_invalid(engine.next_request_id());
+            let message = format!("request line exceeds {MAX_FRAME_BYTES} bytes");
+            write_line(&mut writer, &error_response(&message));
+            // Stop sending, then discard what the client already sent (up
+            // to one more frame, until it pauses): closing with unread
+            // input would reset the connection before the client reads
+            // the error.
+            stream.shutdown(std::net::Shutdown::Write).ok();
+            std::io::copy(
+                &mut reader.take(MAX_FRAME_BYTES as u64),
+                &mut std::io::sink(),
+            )
+            .ok();
+            return;
         }
         let request = line.trim().to_string();
         line.clear();

@@ -64,11 +64,18 @@ impl Default for ParallelRunner {
     /// One worker per available hardware thread (falling back to 1 when
     /// the parallelism is unknown).
     fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        ParallelRunner::new(workers)
+        ParallelRunner::new(hardware_threads())
     }
+}
+
+/// The available hardware parallelism (1 when unknown), read once.
+fn hardware_threads() -> usize {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 impl ParallelRunner {
@@ -96,6 +103,10 @@ impl ParallelRunner {
     ///
     /// `f` receives the item index alongside the item. A panicking `f`
     /// propagates the panic to the caller once the scope joins.
+    ///
+    /// At most one thread per item and per available hardware thread is
+    /// spawned, whatever the configured worker count: more threads than
+    /// cores buy no speed, and the results do not depend on the count.
     pub fn map<I, R, F>(&self, items: Vec<I>, f: F) -> Vec<R>
     where
         I: Send,
@@ -103,7 +114,8 @@ impl ParallelRunner {
         F: Fn(usize, I) -> R + Sync,
     {
         let n = items.len();
-        if self.workers == 1 || n <= 1 {
+        let threads = self.workers.min(n).min(hardware_threads());
+        if threads <= 1 {
             return items
                 .into_iter()
                 .enumerate()
@@ -117,7 +129,7 @@ impl ParallelRunner {
             .collect();
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n) {
+            for _ in 0..threads {
                 scope.spawn(|| loop {
                     let index = cursor.fetch_add(1, Ordering::Relaxed);
                     if index >= n {
@@ -657,6 +669,28 @@ mod tests {
         });
         assert_eq!(results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(runner.workers(), 4);
+    }
+
+    #[test]
+    fn map_spawns_no_more_threads_than_the_hardware_offers() {
+        let runner = ParallelRunner::new(16);
+        let ids = runner.map((0..16).collect(), |_, item: u64| {
+            // Long enough that every spawned worker claims an item.
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            (std::thread::current().id(), item)
+        });
+        let distinct: std::collections::HashSet<_> = ids.iter().map(|(id, _)| *id).collect();
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(
+            distinct.len() <= hardware,
+            "{} threads on {hardware} hardware threads",
+            distinct.len()
+        );
+        assert_eq!(
+            ids.iter().map(|(_, item)| *item).collect::<Vec<_>>(),
+            (0..16).collect::<Vec<_>>()
+        );
+        assert_eq!(runner.workers(), 16, "the configured count is unchanged");
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|&b| (b, false))
         .collect();
-    let result = explorer.explore(&detector.netlist, &ranks, &random_buses, &held)?;
+    let result = explorer.explore(&detector.netlist, &ranks, &random_buses, &held, 1)?;
 
     println!("direction detector, 500 random vectors, 5 MHz, 0.8 um / 5 V technology\n");
     println!("{result}");

@@ -156,7 +156,7 @@ fn pipelining_reduces_imbalance_and_glitches_together() {
     let explorer = PowerExplorer::new(analyzer);
     let buses = detector_buses(&det);
     let result = explorer
-        .explore(&det.netlist, &[1, 6], &buses, &[])
+        .explore(&det.netlist, &[1, 6], &buses, &[], 1)
         .unwrap();
     let shallow = &result.points()[0];
     let deep = &result.points()[1];

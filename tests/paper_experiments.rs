@@ -218,7 +218,7 @@ fn retiming_sweep_shows_a_power_minimum() {
     let buses: Vec<Bus> = det.a.iter().chain(det.b.iter()).cloned().collect();
     let held: Vec<_> = det.threshold.bits().iter().map(|&b| (b, false)).collect();
     let result = explorer
-        .explore(&det.netlist, &[1, 2, 4, 8, 16], &buses, &held)
+        .explore(&det.netlist, &[1, 2, 4, 8, 16], &buses, &held, 1)
         .unwrap();
     let points = result.points();
 
